@@ -66,4 +66,4 @@ pub use request::{GemmRequest, GemmResponse, Op};
 pub use tallskinny::{
     combine_partials, gemm_skinny, is_tall_skinny, SKINNY_CHUNK_K, SKINNY_DIM_MAX, SKINNY_K_MIN,
 };
-pub use tune::{tune, SharedTuner, TunedConfig, Tuner};
+pub use tune::{tune, SharedTuner, TunedConfig};

@@ -42,7 +42,7 @@ use crate::lowrank::exec_lowrank_gemm;
 use crate::model::skinny::{is_tall_skinny, SKINNY_CHUNK_K};
 use crate::plan::{gemm_cost, gemm_cost_auto, gemm_execute_plan_with, GemmPlan};
 use crate::tallskinny::gemm_skinny;
-use crate::tune::{tune, SharedTuner};
+use crate::tune::SharedTuner;
 use kami_gpu_sim::{BackendKind, CostConfig, DeviceSpec, Matrix, Precision};
 
 /// The operation a [`GemmRequest`] describes.
@@ -394,14 +394,7 @@ impl GemmRequest {
     /// warp/fraction/cost overrides applied on top. Skinny requests
     /// tune the chunk shape (see [`GemmRequest::is_skinny`]).
     pub fn resolve_config(&self, device: &DeviceSpec) -> Result<KamiConfig, KamiError> {
-        let cfg = match self.algo {
-            Some(algo) => KamiConfig::new(algo, self.precision),
-            None => {
-                let (m, n, k) = self.tuning_shape();
-                tune(device, m, n, k, self.precision)?.cfg
-            }
-        };
-        Ok(self.apply_overrides(cfg))
+        self.resolve_config_cached(device, &SharedTuner::new())
     }
 
     /// Like [`GemmRequest::resolve_config`], but serve the autotuning
@@ -503,8 +496,22 @@ impl GemmRequest {
         cfg
     }
 
-    /// Execute on `device`, returning a [`GemmResponse`].
+    /// Execute on `device`, returning a [`GemmResponse`]. Tunes afresh;
+    /// callers executing many requests share a cache through
+    /// [`GemmRequest::execute_with_tuner`].
     pub fn execute(&self, device: &DeviceSpec) -> Result<GemmResponse, KamiError> {
+        self.execute_with_tuner(device, &SharedTuner::new())
+    }
+
+    /// [`GemmRequest::execute`] resolving an unpinned configuration
+    /// through `tuner`, so every request of a shape class after the
+    /// first skips the sweep. The result is identical either way:
+    /// tuning is deterministic per shape class.
+    pub fn execute_with_tuner(
+        &self,
+        device: &DeviceSpec,
+        tuner: &SharedTuner,
+    ) -> Result<GemmResponse, KamiError> {
         match &self.op {
             Op::Batched { pairs, varied } => {
                 if !self.is_plain() {
@@ -512,7 +519,7 @@ impl GemmRequest {
                         detail: "alpha/beta scaling is not defined for batched requests".into(),
                     });
                 }
-                let cfg = self.resolve_config(device)?;
+                let cfg = self.resolve_config_cached(device, tuner)?;
                 let res = if *varied {
                     exec_batched_gemm_varied(device, &cfg, pairs)?
                 } else {
@@ -520,12 +527,20 @@ impl GemmRequest {
                 };
                 Ok(GemmResponse::Batched(res))
             }
-            _ => self.execute_single(device).map(GemmResponse::Single),
+            _ => self.execute_one(device, tuner).map(GemmResponse::Single),
         }
     }
 
     /// Execute a single-block request (everything except `Op::Batched`).
     pub fn execute_single(&self, device: &DeviceSpec) -> Result<GemmResult, KamiError> {
+        self.execute_one(device, &SharedTuner::new())
+    }
+
+    fn execute_one(
+        &self,
+        device: &DeviceSpec,
+        tuner: &SharedTuner,
+    ) -> Result<GemmResult, KamiError> {
         if self.epilogue.is_some() && !self.scalars_plain() {
             return Err(KamiError::Unsupported {
                 detail: "fused epilogue requires a plain product (alpha = 1, beta = 0, no C0)"
@@ -533,9 +548,10 @@ impl GemmRequest {
             });
         }
         let plain = self.is_plain();
+        let resolve = || self.resolve_config_cached(device, tuner);
         match &self.op {
             Op::Gemm { a, b } => {
-                let cfg = self.resolve_config(device)?;
+                let cfg = resolve()?;
                 if let Some(epi) = &self.epilogue {
                     exec_gemm_fused(device, &cfg, a, b, epi)
                 } else if plain {
@@ -549,11 +565,10 @@ impl GemmRequest {
                 // Skinny shapes route before any full-shape work: the
                 // chunk-shape configuration resolves fine, but nothing
                 // monolithic would.
+                let cfg = resolve()?;
                 if self.is_skinny() {
-                    let cfg = self.resolve_config(device)?;
                     return gemm_skinny(device, &cfg, a, b, self.epilogue.as_ref());
                 }
-                let cfg = self.resolve_config(device)?;
                 if let Some(epi) = &self.epilogue {
                     exec_gemm_fused_auto(device, &cfg, a, b, epi)
                 } else if plain {
@@ -577,7 +592,7 @@ impl GemmRequest {
                         detail: "alpha/beta scaling is not defined for padded requests".into(),
                     });
                 }
-                let cfg = self.resolve_config(device)?;
+                let cfg = resolve()?;
                 exec_gemm_padded(device, &cfg, a, b)
             }
             Op::TwoHalfD { a, b, q, c } => {
@@ -603,7 +618,7 @@ impl GemmRequest {
                         detail: "alpha/beta scaling is not defined for low-rank requests".into(),
                     });
                 }
-                let cfg = self.resolve_config(device)?;
+                let cfg = resolve()?;
                 exec_lowrank_gemm(device, &cfg, u, v)
             }
             Op::Batched { .. } => Err(KamiError::Unsupported {

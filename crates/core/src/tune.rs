@@ -5,17 +5,19 @@
 //! implementation and allow user tuning to balance generality and
 //! specialization." This module performs that tuning systematically: it
 //! enumerates every valid `(algorithm, warp grid, smem fraction)` for a
-//! problem, measures each candidate on the simulator, and returns the
-//! fastest — with a [`Tuner`] cache so repeated shapes (the batched and
-//! iterative-solver workloads of §3.1) tune once.
+//! problem, costs each candidate with the simulator's cost pass alone
+//! (Formulas 1–12 need the shape, never the operand values), and
+//! returns the fastest — with a [`SharedTuner`] cache so repeated shapes
+//! (the batched and iterative-solver workloads of §3.1) tune once.
 
 use crate::config::{Algo, KamiConfig};
 use crate::error::KamiError;
 use crate::gemm::{exec_gemm as gemm, GemmResult};
+use crate::plan::gemm_cost;
 use kami_gpu_sim::{DeviceSpec, Matrix, Precision};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Winning configuration for one problem shape.
 #[derive(Debug, Clone)]
@@ -72,9 +74,13 @@ pub fn candidates(m: usize, n: usize, k: usize, precision: Precision) -> Vec<Kam
     out
 }
 
-/// Exhaustively tune one problem shape on `device`. The tuning inputs
-/// are seeded (tuning is shape-dependent, not data-dependent — the cost
-/// model is data-oblivious for dense GEMM).
+/// Exhaustively tune one problem shape on `device`. Each candidate is
+/// ranked by the cost pass alone ([`gemm_cost`]): no operands are
+/// generated and no numerics run, since the cycle count of a dense
+/// GEMM depends only on its shape class. The cost pass fails with
+/// exactly the error a full run would, and reports exactly the cycles
+/// a full run would, so the winner is the one a run-every-candidate
+/// sweep would pick. Ties keep the earliest candidate.
 pub fn tune(
     device: &DeviceSpec,
     m: usize,
@@ -82,21 +88,19 @@ pub fn tune(
     k: usize,
     precision: Precision,
 ) -> Result<TunedConfig, KamiError> {
-    let a = Matrix::seeded_uniform(m, k, 0x70E);
-    let b = Matrix::seeded_uniform(k, n, 0x70F);
     let mut best: Option<TunedConfig> = None;
     let cands = candidates(m, n, k, precision);
     let tried = cands.len();
     for cfg in cands {
-        let Ok(res) = gemm(device, &cfg, &a, &b) else {
+        let Ok(plan) = gemm_cost(device, &cfg, m, n, k) else {
             continue;
         };
-        let t = res.block_tflops(device);
+        let t = plan.report.block_tflops(device, plan.useful_flops);
         if best.as_ref().is_none_or(|b| t > b.block_tflops) {
             best = Some(TunedConfig {
                 cfg,
                 block_tflops: t,
-                cycles: res.report.cycles,
+                cycles: plan.report.cycles,
                 candidates_tried: tried,
             });
         }
@@ -110,68 +114,17 @@ pub fn tune(
     })
 }
 
-/// Shape-keyed tuning cache: tune once per `(m, n, k, precision)` per
-/// device, then dispatch every subsequent GEMM through the winner.
-#[derive(Default)]
-pub struct Tuner {
-    cache: HashMap<(String, usize, usize, usize, Precision), TunedConfig>,
-}
-
-impl Tuner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cached configurations held.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// The tuned configuration for a shape (tuning on first use).
-    pub fn config_for(
-        &mut self,
-        device: &DeviceSpec,
-        m: usize,
-        n: usize,
-        k: usize,
-        precision: Precision,
-    ) -> Result<&TunedConfig, KamiError> {
-        let key = (device.name.clone(), m, n, k, precision);
-        if !self.cache.contains_key(&key) {
-            let tuned = tune(device, m, n, k, precision)?;
-            self.cache.insert(key.clone(), tuned);
-        }
-        Ok(&self.cache[&key])
-    }
-
-    /// Run a GEMM through the cached winner for its shape.
-    pub fn gemm(
-        &mut self,
-        device: &DeviceSpec,
-        precision: Precision,
-        a: &Matrix,
-        b: &Matrix,
-    ) -> Result<GemmResult, KamiError> {
-        let (m, k) = (a.rows(), a.cols());
-        let n = b.cols();
-        let cfg = self.config_for(device, m, n, k, precision)?.cfg.clone();
-        gemm(device, &cfg, a, b)
-    }
-}
-
-/// Thread-safe shape-keyed tuning cache: the sharable extension of
-/// [`Tuner`] that a device-level scheduler fans out across SM workers.
-/// Lookups clone the winning [`TunedConfig`] out of the cache (the
-/// configs are small) so no lock is held while a GEMM runs, and hit /
-/// miss counters expose whether repeated shapes actually reuse their
-/// plan — the property `kami-sched`'s plan cache asserts on.
+/// Thread-safe shape-keyed tuning cache: tune once per `(m, n, k,
+/// precision)` per device, then dispatch every subsequent GEMM of that
+/// shape through the winner. A device-level scheduler fans it out
+/// across SM workers and a server shares it across every request it
+/// executes. Lookups clone the winning [`TunedConfig`] out of the cache
+/// (the configs are small) so no lock is held while a GEMM runs, and
+/// hit / miss counters expose whether repeated shapes actually reuse
+/// their plan — the property `kami-sched`'s plan cache asserts on.
 #[derive(Default)]
 pub struct SharedTuner {
-    cache: Mutex<HashMap<TuneKey, TunedConfig>>,
+    cache: Mutex<HashMap<TuneKey, TuneSlot>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -179,14 +132,24 @@ pub struct SharedTuner {
 /// Cache key: device name + problem shape + precision.
 pub type TuneKey = (String, usize, usize, usize, Precision);
 
+/// One shape's winner, filled by the first lookup. Its lock is held
+/// while the sweep runs, so concurrent first lookups of a shape wait
+/// for that one sweep instead of each running their own.
+type TuneSlot = Arc<Mutex<Option<TunedConfig>>>;
+
 impl SharedTuner {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Cached configurations held.
+    fn slots(&self) -> std::sync::MutexGuard<'_, HashMap<TuneKey, TuneSlot>> {
+        self.cache.lock().expect("tuner cache poisoned")
+    }
+
+    /// Shapes tuned or being tuned (a shape that failed to tune does
+    /// not count).
     pub fn len(&self) -> usize {
-        self.cache.lock().expect("tuner cache poisoned").len()
+        self.slots().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -198,16 +161,16 @@ impl SharedTuner {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to run the full candidate sweep.
+    /// Lookups that had to run the candidate sweep.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
 
     /// The tuned configuration for a shape (tuning on first use).
     ///
-    /// The tuning sweep itself runs outside the lock; if two threads
-    /// race on the same fresh shape, both tune and one result wins —
-    /// harmless, since tuning is deterministic per shape.
+    /// Single-flight: threads racing on a fresh shape wait for the
+    /// first one's sweep and count hits, so a shape costs exactly one
+    /// miss. A failed sweep is not cached; the next lookup retries.
     pub fn config_for(
         &self,
         device: &DeviceSpec,
@@ -217,14 +180,25 @@ impl SharedTuner {
         precision: Precision,
     ) -> Result<TunedConfig, KamiError> {
         let key = (device.name.clone(), m, n, k, precision);
-        if let Some(hit) = self.cache.lock().expect("tuner cache poisoned").get(&key) {
+        let slot = Arc::clone(self.slots().entry(key.clone()).or_default());
+        // A sweep that panicked left the slot empty; retry it.
+        let mut winner = slot.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(hit) = &*winner {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let tuned = tune(device, m, n, k, precision)?;
-        let mut cache = self.cache.lock().expect("tuner cache poisoned");
-        Ok(cache.entry(key).or_insert(tuned).clone())
+        match tune(device, m, n, k, precision) {
+            Ok(tuned) => Ok(winner.insert(tuned).clone()),
+            Err(e) => {
+                drop(winner);
+                let mut slots = self.slots();
+                if slots.get(&key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                    slots.remove(&key);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Run a GEMM through the cached winner for its shape.
@@ -280,15 +254,16 @@ mod tests {
     }
 
     #[test]
-    fn tuner_cache_reuses_and_computes_correctly() {
+    fn shared_tuner_reuses_and_computes_correctly() {
         let dev = gh200();
-        let mut tuner = Tuner::new();
+        let tuner = SharedTuner::new();
         let a = Matrix::seeded_uniform(32, 32, 5);
         let b = Matrix::seeded_uniform(32, 32, 6);
         let r1 = tuner.gemm(&dev, Precision::Fp64, &a, &b).unwrap();
         assert_eq!(tuner.len(), 1);
         let r2 = tuner.gemm(&dev, Precision::Fp64, &a, &b).unwrap();
         assert_eq!(tuner.len(), 1); // cache hit
+        assert_eq!((tuner.hits(), tuner.misses()), (1, 1));
         assert_eq!(r1.c.max_abs_diff(&r2.c), 0.0);
         let want = crate::reference::reference_gemm(&a, &b, Precision::Fp64);
         assert!(r1.c.max_abs_diff(&want) < 1e-12);
@@ -297,6 +272,32 @@ mod tests {
         let b2 = Matrix::seeded_uniform(16, 16, 8);
         tuner.gemm(&dev, Precision::Fp64, &a2, &b2).unwrap();
         assert_eq!(tuner.len(), 2);
+    }
+
+    #[test]
+    fn racing_first_lookups_tune_once() {
+        let dev = gh200();
+        let tuner = SharedTuner::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| tuner.config_for(&dev, 64, 64, 64, Precision::Fp16).unwrap());
+            }
+        });
+        assert_eq!((tuner.hits(), tuner.misses()), (3, 1));
+    }
+
+    #[test]
+    fn failed_tuning_is_not_cached() {
+        // No candidate divides a prime-sided shape's 3D grid, and 1D/2D
+        // at one warp overflow the register file at this size.
+        let dev = gh200();
+        let tuner = SharedTuner::new();
+        for _ in 0..2 {
+            assert!(tuner
+                .config_for(&dev, 1021, 1021, 1021, Precision::Fp64)
+                .is_err());
+        }
+        assert_eq!((tuner.hits(), tuner.misses(), tuner.len()), (0, 2, 0));
     }
 
     #[test]
@@ -316,7 +317,7 @@ mod tests {
         });
         assert_eq!((tuner.hits(), tuner.misses()), (4, 1));
         assert_eq!(tuner.len(), 1);
-        // Matches the single-threaded Tuner's winner.
+        // Matches an uncached sweep's winner.
         let single = tune(&dev, 32, 32, 32, Precision::Fp16).unwrap();
         assert_eq!(first.cfg.algo, single.cfg.algo);
         assert_eq!(first.cycles, single.cycles);
@@ -333,5 +334,94 @@ mod tests {
         let a = Matrix::seeded_uniform(128, 128, 9);
         let b = Matrix::seeded_uniform(128, 128, 10);
         assert!(gemm(&dev, &tuned.cfg, &a, &b).is_ok());
+    }
+
+    /// The sweep `tune` ran before it ranked on the cost pass: seeded
+    /// operands and a full plan→cost→execute run per candidate, ranked
+    /// by the run's block TFLOPS. Returns the winner and the number of
+    /// candidates tried, checking each candidate's cost pass against
+    /// its full run on the way.
+    fn reference_sweep(
+        dev: &DeviceSpec,
+        (m, n, k): (usize, usize, usize),
+        precision: Precision,
+        class: &str,
+    ) -> (Option<TunedConfig>, usize) {
+        let a = Matrix::seeded_uniform(m, k, 0x70E);
+        let b = Matrix::seeded_uniform(k, n, 0x70F);
+        let cands = candidates(m, n, k, precision);
+        let tried = cands.len();
+        let mut best: Option<TunedConfig> = None;
+        for cfg in cands {
+            let run = gemm(dev, &cfg, &a, &b);
+            let cost = gemm_cost(dev, &cfg, m, n, k);
+            assert_eq!(run.is_ok(), cost.is_ok(), "{class}: {cfg:?}");
+            let (Ok(run), Ok(cost)) = (run, cost) else {
+                continue;
+            };
+            assert_eq!(run.report.cycles, cost.report.cycles, "{class}: {cfg:?}");
+            let t = run.block_tflops(dev);
+            if best.as_ref().is_none_or(|b| t > b.block_tflops) {
+                best = Some(TunedConfig {
+                    cfg,
+                    block_tflops: t,
+                    cycles: run.report.cycles,
+                    candidates_tried: tried,
+                });
+            }
+        }
+        (best, tried)
+    }
+
+    #[test]
+    fn cost_only_tuning_matches_the_full_execute_sweep() {
+        let shapes = [(16, 16, 16), (16, 32, 48), (64, 64, 64), (16, 16, 256)];
+        // One thread per Table 3 device keeps the debug build quick.
+        let per_device: Vec<(usize, usize)> = std::thread::scope(|s| {
+            let workers: Vec<_> = DeviceSpec::all_evaluated()
+                .into_iter()
+                .map(|dev| {
+                    s.spawn(move || {
+                        let (mut classes, mut tried) = (0, 0);
+                        for precision in Precision::ALL_EVALUATED {
+                            for &(m, n, k) in &shapes {
+                                let class =
+                                    format!("{m}x{n}x{k} {} on {}", precision.label(), dev.name);
+                                let (want, n_tried) =
+                                    reference_sweep(&dev, (m, n, k), precision, &class);
+                                tried += n_tried;
+                                match (want, tune(&dev, m, n, k, precision)) {
+                                    (Some(want), Ok(got)) => {
+                                        classes += 1;
+                                        assert_eq!(
+                                            serde_json::to_string(&got.cfg).unwrap(),
+                                            serde_json::to_string(&want.cfg).unwrap(),
+                                            "{class}: winner differs"
+                                        );
+                                        assert_eq!(got.cycles, want.cycles, "{class}");
+                                        assert_eq!(got.block_tflops, want.block_tflops, "{class}");
+                                        assert_eq!(got.candidates_tried, n_tried, "{class}");
+                                    }
+                                    (None, Err(_)) => {}
+                                    (want, got) => {
+                                        panic!("{class}: reference {want:?} vs tuned {got:?}")
+                                    }
+                                }
+                            }
+                        }
+                        (classes, tried)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let (classes, tried) = per_device
+            .iter()
+            .fold((0, 0), |(c, t), &(dc, dt)| (c + dc, t + dt));
+        // 36 of the 64 classes fit at least one configuration.
+        assert!(
+            classes >= 32 && tried >= 2000,
+            "{classes} classes, {tried} candidates"
+        );
     }
 }

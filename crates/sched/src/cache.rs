@@ -412,6 +412,14 @@ impl<K: Hash + Eq + Clone, V: Clone + CacheWeight> BoundedCache<K, V> {
         }
     }
 
+    /// References held to `key`'s in-flight compute: the flight table's
+    /// own, the leader's, and one per waiter that has joined (0 when
+    /// nothing is in flight).
+    #[cfg(test)]
+    fn flight_refs(&self, key: &K) -> usize {
+        self.locked().flights.get(key).map_or(0, Arc::strong_count)
+    }
+
     /// Mutate the resident value for `key` in place, if present.
     /// Re-weighs the entry afterwards (an update may grow it past the
     /// budget, triggering eviction).
@@ -769,6 +777,12 @@ mod tests {
                     })
                     .unwrap()
             });
+            // Release the leader only once the waiter holds the flight;
+            // released earlier, the waiter could find the value resident
+            // and take a plain hit instead of joining.
+            while cache.flight_refs(&9) < 3 {
+                std::thread::yield_now();
+            }
             release_tx.send(()).unwrap();
             let (lv, lhit) = leader.join().unwrap();
             let (wv, whit) = waiter.join().unwrap();

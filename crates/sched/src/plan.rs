@@ -3,8 +3,8 @@
 //! and the decomposition the scheduler settled on.
 //!
 //! Built on [`kami_core::tune::SharedTuner`] — the thread-safe
-//! extension of the §5.2.5 autotuner — plus one representative
-//! simulator run per shape to extract the quantities the device-level
+//! extension of the §5.2.5 autotuner — plus one cost pass of the
+//! winner per shape to extract the quantities the device-level
 //! model needs (serial cycles, shared-resource bottleneck, residency,
 //! k-stage count, C-tile writeback bytes). Repeated shapes are served
 //! from the cache without re-tuning; hit/miss counters make that

@@ -279,6 +279,45 @@ mod tests {
         );
     }
 
+    #[test]
+    fn direct_path_requests_tune_once_per_class() {
+        // Fused epilogues miss the plan-cache fast path; they must
+        // still resolve through the server's shared tuner.
+        let dev = gh200();
+        let server = Server::new(&dev);
+        let relu = |seed: u64| {
+            ServeRequest::dense(
+                kami_core::GemmRequest::gemm_auto(
+                    Matrix::seeded_uniform(16, 16, seed),
+                    Matrix::seeded_uniform(16, 16, seed + 1000),
+                )
+                .precision(Precision::Fp16)
+                .with_epilogue(kami_core::Epilogue::Relu),
+            )
+        };
+        const N: u64 = 4;
+        for tick in 0..2 {
+            let reqs: Vec<_> = (0..N).map(|i| relu(tick * N + i)).collect();
+            let want: Vec<_> = reqs.iter().map(|r| r.execute(&dev).unwrap()).collect();
+            let tickets: Vec<_> = reqs
+                .into_iter()
+                .map(|r| server.submit(r).unwrap())
+                .collect();
+            assert_eq!(server.tick().completed, N as usize);
+            for (t, w) in tickets.into_iter().zip(want) {
+                let got = dense_c(t.wait().unwrap().output);
+                assert_eq!(got.as_slice(), dense_c(w).as_slice());
+            }
+        }
+        let tuner = server.plans().tuner();
+        assert_eq!(tuner.misses(), 1, "one sweep for the one shape class");
+        assert!(
+            tuner.hits() >= 2 * N as usize - 1,
+            "every served request consults the shared tuner ({} hits)",
+            tuner.hits()
+        );
+    }
+
     fn dense_c(out: ServeOutput) -> Matrix {
         match out {
             ServeOutput::Dense(g) => g.into_single().unwrap().c,

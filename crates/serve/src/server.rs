@@ -41,13 +41,14 @@
 //!
 //! ## Numerics
 //!
-//! Coalescing only shares the *schedule*. Plain dense GEMMs run
-//! through the split engine: one cached cost pass per shape class
-//! (shared with scheduling via the [`PlanCache`]) plus an execute-only
-//! run per request; everything else uses the same direct engine entry
-//! points a non-served caller would ([`ServeRequest::execute`]). Both
-//! paths are bit-identical, retries included: the payload is computed
-//! once on the first attempt and carried across requeues.
+//! Coalescing only shares the *schedule*. Every dense request tunes
+//! through the [`PlanCache`]'s shared tuner, once per shape class.
+//! Plain dense GEMMs run through the split engine: one cached cost pass
+//! per shape class (shared with scheduling) plus an execute-only run
+//! per request; everything else uses the same engine entry points a
+//! non-served caller would ([`ServeRequest::execute`]). Both paths are
+//! bit-identical, retries included: the payload is computed once on
+//! the first attempt and carried across requeues.
 
 use crate::error::ServeError;
 use crate::metrics::{MergedTrace, Metrics, TickRecord};
@@ -825,14 +826,18 @@ impl Server {
         }
     }
 
-    /// Run one member's numerics. Plain strict/auto dense GEMMs take
-    /// the split-engine fast path: the cost pass comes from the shared
-    /// [`PlanCache`] (charged once per shape class, then served from
-    /// cache) and only the execute pass runs per request. Everything
-    /// else — scaled epilogues, padded/2.5D/batched/low-rank ops,
-    /// sparse workloads — goes through the direct engine entry points.
-    /// Both paths are bit-identical, so serving stays numerically
-    /// transparent either way.
+    /// Run one member's numerics. Every dense request resolves its
+    /// configuration through the shared [`PlanCache`]'s tuner, so each
+    /// shape class is tuned once per server. Plain strict/auto dense
+    /// GEMMs then take the split-engine fast path: the cost pass comes
+    /// from the plan cache (charged once per shape class, then served
+    /// from cache) and only the execute pass runs per request. The
+    /// other dense requests — scaled and fused epilogues, padded, 2.5D,
+    /// batched, low-rank and skinny ops — run the engine with the
+    /// shared winner, and sparse workloads run their direct entry
+    /// points. Every path is bit-identical to
+    /// [`ServeRequest::execute`], so serving stays numerically
+    /// transparent.
     fn execute_request(&self, request: &ServeRequest) -> Result<ServeOutput, ServeError> {
         // Numerics device: the fleet pins this to one class so results
         // are bit-identical wherever the request lands; solo servers
@@ -863,6 +868,9 @@ impl Server {
                     kami_core::gemm_execute_plan_with(ndev, &plan, a, b, self.config.backend)?;
                 return Ok(ServeOutput::Dense(kami_core::GemmResponse::Single(res)));
             }
+            return Ok(ServeOutput::Dense(
+                r.execute_with_tuner(ndev, self.plans.tuner())?,
+            ));
         }
         request.execute(ndev)
     }
