@@ -78,7 +78,7 @@ pub fn run_gemm_kernel_with_cost(
     let bb = gmem.upload("B", b, prec);
     let cb = gmem.alloc_zeroed("C", m, n, c_prec);
     let kernel = build(ab, bb, cb);
-    // Baselines pin the reference SimBackend deliberately: they are the
+    // Baselines pin the reference Sim backend deliberately: they are the
     // comparison yardstick for KAMI's own runs and carry no KamiConfig
     // that could select anything else.
     let report = Engine::with_cost(device, cost)

@@ -57,7 +57,7 @@ pub fn gemm(
     let cb = gmem.alloc_zeroed("C", mp, np, prec.accumulator());
     let kernel = build_kernel(prec, mp, np, kp, ab, bb, cb);
     let cost = CostConfig::default().with_mma_efficiency(MMA_EFFICIENCY);
-    // Reference SimBackend, as for every baseline (see common.rs).
+    // Reference Sim backend, as for every baseline (see common.rs).
     let report = Engine::with_cost(device, cost)
         .run_kernel(&kernel, &mut gmem, &kami_gpu_sim::RunOptions::default())?
         .report;

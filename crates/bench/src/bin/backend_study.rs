@@ -1,5 +1,5 @@
-//! Warm execute-path throughput: NativeBackend vs the reference
-//! SimBackend.
+//! Warm execute-path throughput: the native backend vs the reference
+//! Sim backend.
 //!
 //! The serve warm path runs execute-only — the plan and cost passes are
 //! cached per shape class — so the execute backend is the whole story

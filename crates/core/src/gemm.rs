@@ -20,7 +20,7 @@ use crate::config::{Algo, KamiConfig};
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
 use kami_gpu_sim::{
-    DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, SimError,
+    DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, RunOptions, SimError,
 };
 
 /// Output of one block GEMM.
@@ -83,8 +83,7 @@ pub(crate) fn build_gemm_kernel(
 
 /// Run a built kernel through the requested engine path. The split
 /// pipeline honors `cfg.backend`; the legacy oracle is always the
-/// interleaved interpreter (it predates the seam and exists to check
-/// every backend against).
+/// interleaved interpreter (it exists to check every backend against).
 pub(crate) fn run_kernel(
     device: &DeviceSpec,
     cfg: &KamiConfig,
@@ -96,11 +95,8 @@ pub(crate) fn run_kernel(
     match path {
         EnginePath::Legacy => engine.run(kernel, gmem),
         EnginePath::Split => {
-            let planned = engine.plan(kernel)?;
-            let layout = gmem.layout();
-            let report = engine.cost(&planned, &layout)?;
-            engine.execute_with(cfg.backend, &planned, gmem)?;
-            Ok(report)
+            let opts = RunOptions::default().with_backend(cfg.backend);
+            Ok(engine.run_kernel(kernel, gmem, &opts)?.report)
         }
     }
 }
@@ -225,34 +221,6 @@ pub(crate) fn exec_gemm_scaled(
     beta: f64,
     c0: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    exec_gemm_scaled_path(device, cfg, alpha, a, b, beta, c0, EnginePath::Split)
-}
-
-/// [`gemm_scaled`] driven by the legacy interleaved engine (the
-/// `ExecParity` differential oracle, like [`gemm_legacy`]).
-pub fn gemm_scaled_legacy(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c0: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_scaled_path(device, cfg, alpha, a, b, beta, c0, EnginePath::Legacy)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_gemm_scaled_path(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c0: &Matrix,
-    path: EnginePath,
-) -> Result<GemmResult, KamiError> {
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
     if k != kb || c0.rows() != m || c0.cols() != n {
@@ -289,7 +257,7 @@ fn exec_gemm_scaled_path(
     let mut kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
     apply_epilogue(&mut kernel, cb, alpha, beta, three_d, c_prec);
 
-    let report = run_kernel(device, cfg, &kernel, &mut gmem, path)?;
+    let report = run_kernel(device, cfg, &kernel, &mut gmem, EnginePath::Split)?;
     Ok(GemmResult {
         c: gmem.download(cb),
         report,
@@ -818,6 +786,36 @@ mod tests {
                 algo.label()
             );
         }
+    }
+
+    #[test]
+    fn invalid_cost_parameters_are_typed_errors() {
+        let dev = gh200();
+        let a = Matrix::seeded_uniform(16, 16, 1);
+        let b = Matrix::seeded_uniform(16, 16, 2);
+        let mut cfg = KamiConfig::new(Algo::OneD, Precision::Fp16);
+        cfg.cost.theta_r = 0.0;
+        assert!(matches!(
+            gemm(&dev, &cfg, &a, &b),
+            Err(KamiError::Sim(SimError::InvalidCostConfig {
+                field: "theta_r",
+                ..
+            }))
+        ));
+        let mut cfg = KamiConfig::new(Algo::TwoD, Precision::Fp16);
+        cfg.cost.mma_efficiency = f64::NAN;
+        assert!(matches!(
+            gemm(&dev, &cfg, &a, &b),
+            Err(KamiError::Sim(SimError::InvalidCostConfig {
+                field: "mma_efficiency",
+                ..
+            }))
+        ));
+        // alpha == 0 prices its epilogue without a kernel; same check.
+        assert!(matches!(
+            gemm_scaled(&dev, &cfg, 0.0, &a, &b, 1.0, &a),
+            Err(KamiError::Sim(SimError::InvalidCostConfig { .. }))
+        ));
     }
 
     #[test]

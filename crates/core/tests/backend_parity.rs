@@ -1,6 +1,6 @@
 //! Property-based backend conformance: for every request the workspace
-//! can express, `NativeBackend` must be **bit-identical** to
-//! `SimBackend` — same `C` down to the last bit when the request
+//! can express, `BackendKind::Native` must be **bit-identical** to
+//! `BackendKind::Sim` — same `C` down to the last bit when the request
 //! succeeds, same typed error when it fails. The properties sweep
 //! precisions, algorithms, alpha/beta scaling, fused epilogues, and the
 //! tall-skinny k-split path (whose pairwise-tree partial merge is the

@@ -150,11 +150,26 @@ impl PhaseCost {
 }
 
 /// Convert a phase tally into cycles on `device`.
+///
+/// Fails with [`SimError::InvalidCostConfig`] unless `θ_r`, `θ_w` and
+/// `mma_efficiency` are finite and in (0, 1]: they divide below, and
+/// every cost path goes through here, so a zero or NaN factor can never
+/// turn into non-finite cycles.
 pub fn phase_cost(
     device: &DeviceSpec,
     cfg: &CostConfig,
     tally: &PhaseTally,
 ) -> Result<PhaseCost, SimError> {
+    for (field, value) in [
+        ("theta_r", cfg.theta_r),
+        ("theta_w", cfg.theta_w),
+        ("mma_efficiency", cfg.mma_efficiency),
+    ] {
+        // Written so NaN fails too.
+        if !(value > 0.0 && value <= 1.0) {
+            return Err(SimError::InvalidCostConfig { field, value });
+        }
+    }
     let b_sm = device.smem_bytes_per_cycle();
     let mut comm = 0.0;
     if tally.has_smem_load {
@@ -296,6 +311,54 @@ mod tests {
         let full = phase_cost(&dev, &CostConfig::default(), &t).unwrap();
         let half = phase_cost(&dev, &CostConfig::default().with_mma_efficiency(0.5), &t).unwrap();
         assert!((half.compute - 2.0 * full.compute).abs() < 1e-9);
+    }
+
+    #[test]
+    fn out_of_domain_factors_are_typed_errors() {
+        let dev = gh200();
+        let t = PhaseTally::default();
+        for (cfg, field) in [
+            (
+                CostConfig {
+                    theta_r: 0.0,
+                    ..Default::default()
+                },
+                "theta_r",
+            ),
+            (
+                CostConfig {
+                    theta_w: 1.5,
+                    ..Default::default()
+                },
+                "theta_w",
+            ),
+            (
+                CostConfig {
+                    mma_efficiency: f64::NAN,
+                    ..Default::default()
+                },
+                "mma_efficiency",
+            ),
+            (
+                CostConfig {
+                    theta_r: f64::INFINITY,
+                    ..Default::default()
+                },
+                "theta_r",
+            ),
+        ] {
+            match phase_cost(&dev, &cfg, &t) {
+                Err(SimError::InvalidCostConfig { field: f, .. }) => assert_eq!(f, field),
+                other => panic!("{field}: expected InvalidCostConfig, got {other:?}"),
+            }
+        }
+        // The edges of (0, 1] stay valid.
+        let edge = CostConfig {
+            theta_r: 1.0,
+            theta_w: f64::MIN_POSITIVE,
+            ..Default::default()
+        };
+        assert!(phase_cost(&dev, &edge, &t).is_ok());
     }
 
     #[test]

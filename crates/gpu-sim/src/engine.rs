@@ -88,10 +88,11 @@ impl<'a> Engine<'a> {
     ///
     /// This is the legacy single-loop interpreter that interleaves cycle
     /// accounting with functional numerics op by op. The split pipeline
-    /// ([`Self::plan`] → [`Self::cost`] → [`Self::execute`], or
-    /// [`Self::run_passes`] for the one-call form) produces bit-identical
-    /// results and reports; this path is kept as the differential oracle
-    /// (`kami-verify`'s `ExecParity` check holds the two together).
+    /// ([`Self::plan`] → [`Self::cost`] → [`Self::execute_with`], or
+    /// [`Self::run_kernel`] for the one-call form) produces bit-identical
+    /// results and reports on every backend; this path is kept as the
+    /// differential oracle (`kami-verify`'s `ExecParity` check holds the
+    /// two together).
     pub fn run(
         &self,
         kernel: &BlockKernel,
@@ -157,13 +158,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Runtime state.
-        let mut smem = SharedMemory::new(self.device.smem_capacity);
-        let mut frags: Vec<Vec<FragValue>> = kernel
-            .warps
-            .iter()
-            .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
-            .collect();
+        let (mut smem, mut frags) = self.kernel_state(kernel);
         // Per-warp cursor into its op list.
         let mut cursors = vec![0usize; p];
 
@@ -282,10 +277,19 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Execute one op of warp `w` with full functional semantics. Ops
-    /// that touch global memory are handled here; everything else
-    /// forwards to [`Self::exec_local_op`] (which the parallel executor
-    /// reuses against a warp-local shared-memory view).
+    /// Fresh runtime state of one kernel: empty shared memory plus every
+    /// warp's declared fragments, uninitialized.
+    pub(crate) fn kernel_state(&self, kernel: &BlockKernel) -> (SharedMemory, Vec<Vec<FragValue>>) {
+        let smem = SharedMemory::new(self.device.smem_capacity);
+        let frags = kernel
+            .warps
+            .iter()
+            .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
+            .collect();
+        (smem, frags)
+    }
+
+    /// Execute one op of warp `w` with full functional semantics.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_op(
         &self,
@@ -337,37 +341,6 @@ impl<'a> Engine<'a> {
                     tally.has_gmem_load = true;
                 }
             }
-            _ => self.exec_local_op(
-                w,
-                prog,
-                op,
-                smem,
-                warp_frags,
-                tally,
-                writes,
-                reads,
-                flops_charged,
-            )?,
-        }
-        Ok(())
-    }
-
-    /// Execute one op that touches no global memory: shared-memory
-    /// traffic, register movement, and tensor-core MMAs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_local_op(
-        &self,
-        w: usize,
-        prog: &WarpProgram,
-        op: &Op,
-        smem: &mut SharedMemory,
-        warp_frags: &mut [FragValue],
-        tally: &mut PhaseTally,
-        writes: &mut Vec<(usize, (usize, usize))>,
-        reads: &mut Vec<(usize, (usize, usize))>,
-        flops_charged: &mut u64,
-    ) -> Result<(), SimError> {
-        match *op {
             Op::SharedStore { src, addr } => {
                 require_init(warp_frags, src, w, prog)?;
                 let elem = warp_frags[src].decl.precision.size_bytes();
@@ -520,9 +493,6 @@ impl<'a> Engine<'a> {
                 tally.smem_bytes_read += bytes as u64;
                 tally.has_smem_load = true;
                 reads.push((w, (addr, bytes)));
-            }
-            Op::GlobalLoad { .. } | Op::GlobalStore { .. } => {
-                unreachable!("global-memory ops are handled by exec_op")
             }
             Op::Barrier => unreachable!("barriers are consumed by the phase loop"),
         }

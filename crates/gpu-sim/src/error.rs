@@ -35,6 +35,9 @@ pub enum SimError {
     },
     /// The device has no tensor path at the requested precision.
     UnsupportedPrecision { device: String, precision: String },
+    /// A [`CostConfig`](crate::cost::CostConfig) factor (`theta_r`,
+    /// `theta_w` or `mma_efficiency`) is not finite or not in (0, 1].
+    InvalidCostConfig { field: &'static str, value: f64 },
 }
 
 impl fmt::Display for SimError {
@@ -77,6 +80,9 @@ impl fmt::Display for SimError {
             ),
             SimError::UnsupportedPrecision { device, precision } => {
                 write!(f, "{device} has no tensor path for {precision}")
+            }
+            SimError::InvalidCostConfig { field, value } => {
+                write!(f, "cost parameter {field} = {value} is not in (0, 1]")
             }
         }
     }

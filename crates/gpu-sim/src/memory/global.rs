@@ -188,22 +188,6 @@ impl GlobalMemory {
         rows: usize,
         cols: usize,
     ) -> Vec<f64> {
-        let out = self.read_window_pure(id, row0, col0, rows, cols);
-        self.bytes_read += (rows * cols * self.buffers[id.0].precision.size_bytes()) as u64;
-        out
-    }
-
-    /// Read a window without counting traffic — the parallel executor's
-    /// snapshot read (each warp reads through `&self`, byte counts are
-    /// settled per warp afterwards via [`Self::note_read_bytes`]).
-    pub(crate) fn read_window_pure(
-        &self,
-        id: BufferId,
-        row0: usize,
-        col0: usize,
-        rows: usize,
-        cols: usize,
-    ) -> Vec<f64> {
         let b = &self.buffers[id.0];
         assert!(
             row0 + rows <= b.data.rows() && col0 + cols <= b.data.cols(),
@@ -218,31 +202,8 @@ impl GlobalMemory {
                 out.push(b.data.get(row0 + r, col0 + c));
             }
         }
+        self.bytes_read += (rows * cols * b.precision.size_bytes()) as u64;
         out
-    }
-
-    /// Bounds-check a write window without performing it (the parallel
-    /// executor defers writes but must fault at the op, like the
-    /// interleaved engine).
-    pub(crate) fn check_write(
-        &self,
-        id: BufferId,
-        row0: usize,
-        col0: usize,
-        rows: usize,
-        cols: usize,
-    ) {
-        let b = &self.buffers[id.0];
-        assert!(
-            row0 + rows <= b.data.rows() && col0 + cols <= b.data.cols(),
-            "global write out of bounds on '{}'",
-            b.name
-        );
-    }
-
-    /// Charge read traffic measured outside [`Self::read_window`].
-    pub(crate) fn note_read_bytes(&mut self, bytes: u64) {
-        self.bytes_read += bytes;
     }
 
     pub(crate) fn buffer_count(&self) -> usize {

@@ -1,35 +1,28 @@
-//! The execution-backend seam of the three-pass pipeline.
+//! Backend selection for the execute pass of the three-pass pipeline.
 //!
 //! The plan and cost passes are pure analysis: they validate a kernel
 //! and price its communication without touching matrix data. The
-//! execute pass is the only consumer of [`GlobalMemory`] values — which
-//! makes it swappable. An [`ExecBackend`] implements just that pass
-//! against a [`PlannedKernel`]; everything above it (cycle accounting,
-//! plan caches, scheduling, serving) is backend-agnostic.
+//! execute pass is the only consumer of [`GlobalMemory`](crate::GlobalMemory)
+//! values — which makes it swappable. [`BackendKind`] picks one of two
+//! executors and [`Engine::execute_with`](crate::Engine::execute_with)
+//! matches on it; everything above the pass (cycle accounting, plan
+//! caches, scheduling, serving) is backend-agnostic.
 //!
-//! Two backends ship:
-//!
-//! * [`SimBackend`](super::exec::SimBackend) — the reference
-//!   implementation: the rayon-parallel journaled interpreter with a
-//!   serial interleaved fallback and full race detection. Every other
+//! * [`BackendKind::Sim`] — the reference executor: every phase through
+//!   the serial interleaved loop with full race detection. The other
 //!   backend is conformance-tested against it (and transitively against
 //!   [`Engine::run`](crate::engine::Engine::run), the legacy oracle).
-//! * [`NativeBackend`](super::native::NativeBackend) — host-speed
-//!   microkernels that replay each phase in the simulator's warp-settle
-//!   order, so accumulation order — and therefore bits — are identical.
-//!   Phases the static analysis cannot prove conflict-free fall back to
-//!   the serial simulator path, so races and faults surface with the
-//!   same errors.
+//! * [`BackendKind::Native`] — host-speed microkernels that replay each
+//!   phase in the same warp order, so accumulation order — and
+//!   therefore bits — are identical. Phases the static analysis cannot
+//!   prove conflict-free fall back to the serial reference loop, so
+//!   races and faults surface with the same errors.
 //!
 //! The contract every backend must honor (what `ExecParity` checks):
 //! bit-identical global-buffer contents, identical global traffic
 //! counters, and identical `SimError`s (same variant, same message,
 //! same lowest-warp ordering) on every kernel.
 
-use super::PlannedKernel;
-use crate::engine::Engine;
-use crate::error::SimError;
-use crate::memory::global::GlobalMemory;
 use serde::{Deserialize, Serialize};
 
 /// Which execution backend computes the numbers. Plan and cost passes
@@ -37,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// it. Defaults to [`BackendKind::Sim`], the reference interpreter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum BackendKind {
-    /// Reference simulator: rayon journaled interpreter + race detector.
+    /// Reference simulator: serial interleaved interpreter + race detector.
     #[default]
     Sim,
     /// Host-speed per-precision microkernels, bit-identical to `Sim`.
@@ -72,14 +65,6 @@ impl BackendKind {
             BackendKind::Native => "native",
         }
     }
-
-    /// The backend implementation behind this kind.
-    pub fn backend(self) -> &'static (dyn ExecBackend + Sync) {
-        match self {
-            BackendKind::Sim => &super::exec::SimBackend,
-            BackendKind::Native => &super::native::NativeBackend,
-        }
-    }
 }
 
 impl std::str::FromStr for BackendKind {
@@ -109,32 +94,12 @@ pub struct ExecOutcome {
     pub backend: BackendKind,
     /// Total barrier-delimited phases executed.
     pub phases: usize,
-    /// Phases through the backend's fast path (rayon fan-out for `Sim`,
-    /// lean microkernel loop for `Native`).
+    /// Phases through the backend's fast path: the lean microkernel
+    /// loop for `Native`, always 0 for the serial `Sim` reference.
     pub fast_phases: usize,
     /// Phases through the serial interleaved fallback (conflicting or
     /// statically unsafe phases that need the race detector).
     pub fallback_phases: usize,
-}
-
-/// One execution backend: the execute pass behind a fixed seam.
-///
-/// Implementations must leave `gmem` (buffer contents *and* traffic
-/// counters) bit-identical to what [`SimBackend`](super::exec::SimBackend)
-/// leaves, and fail with identical [`SimError`]s on faulting kernels —
-/// the `ExecParity` verify check holds every backend to this bar over
-/// the full grid.
-pub trait ExecBackend {
-    /// Which kind this backend is.
-    fn kind(&self) -> BackendKind;
-
-    /// Run the planned kernel's numerics against `gmem`.
-    fn execute(
-        &self,
-        engine: &Engine<'_>,
-        plan: &PlannedKernel<'_>,
-        gmem: &mut GlobalMemory,
-    ) -> Result<ExecOutcome, SimError>;
 }
 
 #[cfg(test)]
@@ -145,7 +110,6 @@ mod tests {
     fn kind_roundtrips_through_labels() {
         for kind in BackendKind::ALL {
             assert_eq!(kind.label().parse::<BackendKind>().unwrap(), kind);
-            assert_eq!(kind.backend().kind(), kind);
         }
         assert!("cuda".parse::<BackendKind>().is_err());
     }

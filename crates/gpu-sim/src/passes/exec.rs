@@ -1,142 +1,72 @@
 //! Execute pass: numerics only, no cycle accounting.
 //!
-//! Interprets a [`PlannedKernel`] phase by phase.
-//! For each phase a static access analysis decides between two paths
-//! that produce bit-identical state:
+//! Interprets a [`PlannedKernel`] phase by phase. [`Engine::execute_with`]
+//! matches the [`BackendKind`] onto one of two executors, which leave
+//! bit-identical state:
 //!
-//! * **Parallel fast path** — when the phase's warps touch disjoint
-//!   shared-memory and global-memory ranges (the common case: race-free
-//!   KAMI kernels are disjoint by construction), warps run concurrently
-//!   under rayon. Each warp interprets its ops against its own register
-//!   fragments, a snapshot clone of shared memory, and read-only global
-//!   memory; its shared-memory stores and global writes are journaled
-//!   and applied to the real state in warp order after the phase, so
-//!   floating-point accumulation order is exactly the interleaved
-//!   engine's.
-//! * **Serial fallback** — any cross-warp overlap, same-phase
-//!   read-after-write on global memory, or statically out-of-bounds
-//!   window sends the phase through the legacy op loop (including race
-//!   detection), so every fault surfaces with the same error, panic
-//!   message, and ordering as [`Engine::run`].
+//! * **Reference** ([`BackendKind::Sim`]) — every phase runs through
+//!   `Engine::run_phase_serial`: warps in order, ops in program order,
+//!   then same-phase race detection. KAMI kernels exchange data between
+//!   warps only across a barrier, so this walk *is* the semantics; every
+//!   fault surfaces with the same error, panic message, and ordering as
+//!   [`Engine::run`].
+//! * **Fast** ([`BackendKind::Native`], in [`super::native`]) — the same
+//!   walk with host-speed MMA microkernels on phases its static conflict
+//!   analysis proves race-free, and this module's serial phase loop on
+//!   every other phase.
 //!
 //! The pass performs no tallying and consults no
 //! [`CostConfig`](crate::cost::CostConfig): cycles are the cost pass's
 //! business alone.
 
-use super::backend::{BackendKind, ExecBackend, ExecOutcome};
+use super::backend::{BackendKind, ExecOutcome};
 use super::PlannedKernel;
 use crate::cost::PhaseTally;
-use crate::engine::{detect_races, frag_decl, overlap, require_init, Engine};
+use crate::engine::{detect_races, Engine};
 use crate::error::SimError;
 use crate::fragment::FragValue;
-use crate::memory::global::{BufferId, GlobalMemory};
+use crate::memory::global::GlobalMemory;
 use crate::memory::shared::SharedMemory;
-use crate::program::Op;
-use rayon::prelude::*;
-
-/// The reference execution backend: the rayon journaled interpreter
-/// re-homed behind the [`ExecBackend`] seam. Conflict-free phases fan
-/// out across warps; anything the static analysis cannot prove safe
-/// runs through the legacy serial loop with full race detection.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend;
-
-impl ExecBackend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
-    fn execute(
-        &self,
-        engine: &Engine<'_>,
-        plan: &PlannedKernel<'_>,
-        gmem: &mut GlobalMemory,
-    ) -> Result<ExecOutcome, SimError> {
-        let p = plan.warps;
-        let mut smem = SharedMemory::new(engine.device.smem_capacity);
-        let mut frags: Vec<Vec<FragValue>> = plan
-            .kernel
-            .warps
-            .iter()
-            .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
-            .collect();
-
-        let mut fast_phases = 0usize;
-        for phase in 0..plan.phases {
-            if p > 1 && engine.phase_is_parallel_safe(plan, phase, gmem) {
-                engine.run_phase_parallel(plan, phase, gmem, &mut smem, &mut frags)?;
-                fast_phases += 1;
-            } else {
-                engine.run_phase_serial(plan, phase, gmem, &mut smem, &mut frags)?;
-            }
-        }
-        Ok(ExecOutcome {
-            backend: BackendKind::Sim,
-            phases: plan.phases,
-            fast_phases,
-            fallback_phases: plan.phases - fast_phases,
-        })
-    }
-}
-
-/// One warp's journaled side effects from an isolated parallel run.
-#[derive(Default)]
-struct WarpEffects {
-    /// Shared-memory stores in program order: `(addr, elem_size, values)`.
-    smem_stores: Vec<(usize, usize, Vec<f64>)>,
-    /// Global writes in program order.
-    gmem_writes: Vec<DeferredWrite>,
-    /// Bytes read from global memory (settled onto the real counters).
-    gmem_read_bytes: u64,
-}
-
-struct DeferredWrite {
-    buf: BufferId,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-    values: Vec<f64>,
-    accumulate: bool,
-}
-
-/// A global-memory window access for the static phase analysis.
-#[derive(Clone, Copy)]
-struct GmemAccess {
-    buf: BufferId,
-    rows: (usize, usize),
-    cols: (usize, usize),
-    write: bool,
-}
-
-fn windows_overlap(a: &GmemAccess, b: &GmemAccess) -> bool {
-    a.buf == b.buf && overlap(a.rows, b.rows) && overlap(a.cols, b.cols)
-}
 
 impl<'a> Engine<'a> {
     /// Execute pass: run the planned kernel's numerics against `gmem`
-    /// through the reference [`SimBackend`]. Bit-identical to the state
+    /// on the selected backend. Every backend leaves the state
     /// [`Engine::run`] leaves behind (fragment values, shared/global
     /// memory contents, global traffic counters) on every kernel that
-    /// runs to completion.
-    pub fn execute(
-        &self,
-        plan: &PlannedKernel<'_>,
-        gmem: &mut GlobalMemory,
-    ) -> Result<(), SimError> {
-        SimBackend.execute(self, plan, gmem).map(|_| ())
-    }
-
-    /// Execute pass through a selectable [`ExecBackend`]. Every backend
-    /// leaves bit-identical state; the returned [`ExecOutcome`] reports
-    /// which paths the phases took.
+    /// runs to completion; the returned [`ExecOutcome`] reports which
+    /// paths the phases took.
     pub fn execute_with(
         &self,
         backend: BackendKind,
         plan: &PlannedKernel<'_>,
         gmem: &mut GlobalMemory,
     ) -> Result<ExecOutcome, SimError> {
-        backend.backend().execute(self, plan, gmem)
+        let fast_phases = match backend {
+            BackendKind::Sim => {
+                self.execute_reference(plan, gmem)?;
+                0
+            }
+            BackendKind::Native => super::native::execute_native(self, plan, gmem)?,
+        };
+        Ok(ExecOutcome {
+            backend,
+            phases: plan.phases,
+            fast_phases,
+            fallback_phases: plan.phases - fast_phases,
+        })
+    }
+
+    /// The reference executor: every phase through the serial loop.
+    fn execute_reference(
+        &self,
+        plan: &PlannedKernel<'_>,
+        gmem: &mut GlobalMemory,
+    ) -> Result<(), SimError> {
+        let (mut smem, mut frags) = self.kernel_state(plan.kernel);
+        for phase in 0..plan.phases {
+            self.run_phase_serial(plan, phase, gmem, &mut smem, &mut frags)?;
+        }
+        Ok(())
     }
 
     /// Legacy-identical interleaved interpretation of one phase: warps
@@ -172,276 +102,6 @@ impl<'a> Engine<'a> {
         }
         detect_races(&writes, &reads)
     }
-
-    /// Fan one conflict-free phase out across warps, then settle journaled
-    /// side effects in warp order.
-    pub(crate) fn run_phase_parallel(
-        &self,
-        plan: &PlannedKernel<'_>,
-        phase: usize,
-        gmem: &mut GlobalMemory,
-        smem: &mut SharedMemory,
-        frags: &mut Vec<Vec<FragValue>>,
-    ) -> Result<(), SimError> {
-        let effects: Vec<Result<WarpEffects, SimError>> = {
-            let smem_snapshot: &SharedMemory = smem;
-            let gmem_snapshot: &GlobalMemory = gmem;
-            frags
-                .par_iter_mut()
-                .enumerate()
-                .map(|(w, warp_frags)| {
-                    self.exec_warp_isolated(
-                        w,
-                        plan,
-                        phase,
-                        smem_snapshot,
-                        gmem_snapshot,
-                        warp_frags,
-                    )
-                })
-                .collect()
-        };
-        // Results arrive in warp order, so `?` surfaces the lowest
-        // erroring warp — the one the interleaved engine would have
-        // reached first.
-        for result in effects {
-            let eff = result?;
-            gmem.note_read_bytes(eff.gmem_read_bytes);
-            for wr in eff.gmem_writes {
-                gmem.write_window(
-                    wr.buf,
-                    wr.row0,
-                    wr.col0,
-                    wr.rows,
-                    wr.cols,
-                    &wr.values,
-                    wr.accumulate,
-                );
-            }
-            for (addr, elem, values) in eff.smem_stores {
-                smem.store(addr, elem, &values)
-                    .map_err(|detail| SimError::SharedMemoryOverflow { detail })?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One warp's ops against a shared-memory snapshot and read-only
-    /// global memory; mutations beyond its own fragments are journaled.
-    fn exec_warp_isolated(
-        &self,
-        w: usize,
-        plan: &PlannedKernel<'_>,
-        phase: usize,
-        base_smem: &SharedMemory,
-        gmem: &GlobalMemory,
-        warp_frags: &mut [FragValue],
-    ) -> Result<WarpEffects, SimError> {
-        let prog = &plan.kernel.warps[w];
-        // Snapshot of the phase-entry state; the warp's own stores land
-        // here too, so a same-phase store-then-load sees its own writes
-        // exactly as in the interleaved engine.
-        let mut smem = base_smem.clone();
-        let mut eff = WarpEffects::default();
-        let mut tally = PhaseTally::default();
-        let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
-        let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
-        let mut flops_scratch = 0u64;
-        for op in plan.ops(w, phase) {
-            match *op {
-                Op::GlobalLoad {
-                    dst,
-                    buf,
-                    row0,
-                    col0,
-                } => {
-                    let decl = frag_decl(prog, dst)?;
-                    let (rows, cols) = (decl.rows, decl.cols);
-                    let bytes = rows * cols * gmem.precision(buf).size_bytes();
-                    let values = gmem.read_window_pure(buf, row0, col0, rows, cols);
-                    warp_frags[dst].store(&values);
-                    eff.gmem_read_bytes += bytes as u64;
-                }
-                Op::GlobalStore {
-                    src,
-                    buf,
-                    row0,
-                    col0,
-                    accumulate,
-                } => {
-                    require_init(warp_frags, src, w, prog)?;
-                    let (rows, cols) = {
-                        let d = &warp_frags[src].decl;
-                        (d.rows, d.cols)
-                    };
-                    gmem.check_write(buf, row0, col0, rows, cols);
-                    eff.gmem_writes.push(DeferredWrite {
-                        buf,
-                        row0,
-                        col0,
-                        rows,
-                        cols,
-                        values: warp_frags[src].data.clone(),
-                        accumulate,
-                    });
-                }
-                Op::SharedStore { src, addr } => {
-                    require_init(warp_frags, src, w, prog)?;
-                    let elem = warp_frags[src].decl.precision.size_bytes();
-                    let data = warp_frags[src].data.clone();
-                    smem.store(addr, elem, &data)
-                        .map_err(|detail| SimError::SharedMemoryOverflow { detail })?;
-                    eff.smem_stores.push((addr, elem, data));
-                }
-                _ => self.exec_local_op(
-                    w,
-                    prog,
-                    op,
-                    &mut smem,
-                    warp_frags,
-                    &mut tally,
-                    &mut writes,
-                    &mut reads,
-                    &mut flops_scratch,
-                )?,
-            }
-        }
-        Ok(eff)
-    }
-
-    /// Static analysis of one phase: `true` when every warp's accesses
-    /// are provably independent, so the parallel path reproduces the
-    /// interleaved engine's state exactly. Anything uncertain — overlap,
-    /// out-of-range ids, out-of-bounds windows, same-phase global
-    /// read-after-write — routes to the serial fallback instead.
-    ///
-    /// [`NativeBackend`](super::native::NativeBackend) reuses this
-    /// analysis to gate its lean serial loop: op addresses are static
-    /// literals, so the static verdict equals runtime behavior.
-    pub(crate) fn phase_is_parallel_safe(
-        &self,
-        plan: &PlannedKernel<'_>,
-        phase: usize,
-        gmem: &GlobalMemory,
-    ) -> bool {
-        let p = plan.warps;
-        let mut smem_w: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
-        let mut smem_r: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
-        let mut gmem_accs: Vec<Vec<GmemAccess>> = vec![Vec::new(); p];
-
-        for w in 0..p {
-            let prog = &plan.kernel.warps[w];
-            for op in plan.ops(w, phase) {
-                match *op {
-                    Op::SharedStore { src, addr } => match prog.frags.get(src) {
-                        Some(d) => smem_w[w].push((addr, d.elems() * d.precision.size_bytes())),
-                        None => return false,
-                    },
-                    Op::SharedLoad { dst, addr } => match prog.frags.get(dst) {
-                        Some(d) => smem_r[w].push((addr, d.elems() * d.precision.size_bytes())),
-                        None => return false,
-                    },
-                    Op::MetaStore { addr, bytes } => smem_w[w].push((addr, bytes)),
-                    Op::MetaLoad { addr, bytes } => smem_r[w].push((addr, bytes)),
-                    Op::GlobalLoad {
-                        dst,
-                        buf,
-                        row0,
-                        col0,
-                    } => match self.gmem_window(gmem, prog, dst, buf, row0, col0, false) {
-                        Some(acc) => gmem_accs[w].push(acc),
-                        None => return false,
-                    },
-                    Op::GlobalStore {
-                        src,
-                        buf,
-                        row0,
-                        col0,
-                        ..
-                    } => match self.gmem_window(gmem, prog, src, buf, row0, col0, true) {
-                        Some(acc) => gmem_accs[w].push(acc),
-                        None => return false,
-                    },
-                    _ => {}
-                }
-            }
-        }
-
-        // Cross-warp shared-memory overlap of any kind (write/read,
-        // write/write — the same pairs race detection rejects).
-        for w1 in 0..p {
-            for w2 in (w1 + 1)..p {
-                for &a in &smem_w[w1] {
-                    if smem_w[w2]
-                        .iter()
-                        .chain(smem_r[w2].iter())
-                        .any(|&b| overlap(a, b))
-                    {
-                        return false;
-                    }
-                }
-                for &a in &smem_r[w1] {
-                    if smem_w[w2].iter().any(|&b| overlap(a, b)) {
-                        return false;
-                    }
-                }
-            }
-        }
-
-        // Cross-warp global overlap where at least one side writes.
-        for w1 in 0..p {
-            for w2 in (w1 + 1)..p {
-                for a in &gmem_accs[w1] {
-                    for b in &gmem_accs[w2] {
-                        if (a.write || b.write) && windows_overlap(a, b) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Same-warp global read after an earlier same-phase write: the
-        // parallel path defers writes, so the load would miss them.
-        for accs in &gmem_accs {
-            for (i, a) in accs.iter().enumerate() {
-                if !a.write && accs[..i].iter().any(|b| b.write && windows_overlap(a, b)) {
-                    return false;
-                }
-            }
-        }
-
-        true
-    }
-
-    /// Resolve one global access to a checked window, or `None` if
-    /// anything about it would fault (serial path reproduces the fault).
-    #[allow(clippy::too_many_arguments)]
-    fn gmem_window(
-        &self,
-        gmem: &GlobalMemory,
-        prog: &crate::program::WarpProgram,
-        frag: usize,
-        buf: BufferId,
-        row0: usize,
-        col0: usize,
-        write: bool,
-    ) -> Option<GmemAccess> {
-        let d = prog.frags.get(frag)?;
-        if buf.0 >= gmem.buffer_count() {
-            return None;
-        }
-        let (brows, bcols) = gmem.shape(buf);
-        if row0 + d.rows > brows || col0 + d.cols > bcols {
-            return None;
-        }
-        Some(GmemAccess {
-            buf,
-            rows: (row0, d.rows),
-            cols: (col0, d.cols),
-            write,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -450,117 +110,141 @@ mod tests {
     use crate::engine::Engine;
     use crate::error::SimError;
     use crate::matrix::Matrix;
-    use crate::memory::global::GlobalMemory;
+    use crate::memory::global::{BufferId, GlobalMemory};
+    use crate::passes::{BackendKind, ExecOutcome, RunOptions};
     use crate::precision::Precision;
     use crate::program::BlockKernel;
 
-    /// Build two identical global memories for a differential run.
-    fn twin_gmem(build: impl Fn(&mut GlobalMemory)) -> (GlobalMemory, GlobalMemory) {
-        let mut a = GlobalMemory::new();
-        let mut b = GlobalMemory::new();
-        build(&mut a);
-        build(&mut b);
-        (a, b)
-    }
-
-    /// Assert the split pipeline leaves state and report bit-identical
-    /// to the legacy interleaved engine on `k`.
-    fn assert_split_matches_legacy(k: &BlockKernel, build: impl Fn(&mut GlobalMemory)) {
+    /// Run `k` through the legacy interleaved engine and through
+    /// [`Engine::run_kernel`] on every backend, each against a fresh
+    /// memory built by `build`. On success the buffers, traffic
+    /// counters, serde report and serde trace must be identical; on
+    /// failure the `Debug` errors must be. Returns the legacy result
+    /// and each backend's outcome, in [`BackendKind::ALL`] order.
+    fn check_every_backend(
+        k: &BlockKernel,
+        build: impl Fn(&mut GlobalMemory),
+    ) -> (Result<(), SimError>, Vec<Option<ExecOutcome>>) {
         let dev = gh200();
         let eng = Engine::new(&dev);
-        let (mut g_legacy, mut g_split) = twin_gmem(build);
-        let (legacy_rep, legacy_trace) = eng.run_traced(k, &mut g_legacy).unwrap();
-        let (split_rep, split_trace) = eng.run_passes_traced(k, &mut g_split).unwrap();
-        assert_eq!(
-            serde_json::to_string(&legacy_rep).unwrap(),
-            serde_json::to_string(&split_rep).unwrap(),
-            "report diverges"
-        );
-        assert_eq!(
-            serde_json::to_string(&legacy_trace).unwrap(),
-            serde_json::to_string(&split_trace).unwrap(),
-            "trace diverges"
-        );
-        assert_eq!(g_legacy.bytes_read(), g_split.bytes_read());
-        assert_eq!(g_legacy.bytes_written(), g_split.bytes_written());
-        for i in 0..g_legacy.buffer_count() {
-            let id = crate::memory::global::BufferId(i);
-            let (l, s) = (g_legacy.download(id), g_split.download(id));
-            assert_eq!(
-                l.max_abs_diff(&s),
-                0.0,
-                "buffer '{}' diverges",
-                g_legacy.name(id)
-            );
+        let mut g_legacy = GlobalMemory::new();
+        build(&mut g_legacy);
+        let legacy = eng.run_traced(k, &mut g_legacy);
+        let mut outcomes = Vec::new();
+        for kind in BackendKind::ALL {
+            let mut g = GlobalMemory::new();
+            build(&mut g);
+            let opts = RunOptions::default().traced().with_backend(kind);
+            let split = eng.run_kernel(k, &mut g, &opts);
+            match (&legacy, split) {
+                (Ok((legacy_rep, legacy_trace)), Ok(arts)) => {
+                    assert_eq!(
+                        serde_json::to_string(legacy_rep).unwrap(),
+                        serde_json::to_string(&arts.report).unwrap(),
+                        "{kind}: report diverges"
+                    );
+                    assert_eq!(
+                        serde_json::to_string(legacy_trace).unwrap(),
+                        serde_json::to_string(&arts.trace.unwrap()).unwrap(),
+                        "{kind}: trace diverges"
+                    );
+                    assert_eq!(g_legacy.bytes_read(), g.bytes_read(), "{kind}");
+                    assert_eq!(g_legacy.bytes_written(), g.bytes_written(), "{kind}");
+                    for i in 0..g_legacy.buffer_count() {
+                        let id = BufferId(i);
+                        assert_eq!(
+                            g_legacy.download(id).max_abs_diff(&g.download(id)),
+                            0.0,
+                            "{kind}: buffer '{}' diverges",
+                            g_legacy.name(id)
+                        );
+                    }
+                    outcomes.push(Some(arts.exec));
+                }
+                (Err(legacy_err), Err(err)) => {
+                    assert_eq!(format!("{legacy_err:?}"), format!("{err:?}"), "{kind}");
+                    outcomes.push(None);
+                }
+                (legacy, split) => panic!(
+                    "{kind}: legacy {:?} vs split {:?}",
+                    legacy.as_ref().map(|_| ()),
+                    split.map(|_| ())
+                ),
+            }
         }
+        (legacy.map(|_| ()), outcomes)
     }
 
     #[test]
-    fn parallel_fast_path_matches_legacy_gemm() {
+    fn fast_path_matches_legacy_gemm() {
         // All four warps load the same A/B windows (read-only sharing is
-        // parallel-safe); disjoint smem staging; warp 0 alone stores C.
+        // conflict-free); disjoint smem staging; warp 0 alone stores C.
         let n = 8;
         let k = BlockKernel::spmd(4, |i, w| {
             let fa = w.frag("A", n, n, Precision::Fp64);
             let fb = w.frag("B", n, n, Precision::Fp64);
             let fc = w.frag("C", n, n, Precision::Fp64);
-            w.global_load(fa, crate::memory::global::BufferId(0), 0, 0);
-            w.global_load(fb, crate::memory::global::BufferId(1), 0, 0);
+            w.global_load(fa, BufferId(0), 0, 0);
+            w.global_load(fb, BufferId(1), 0, 0);
             w.zero_acc(fc);
             w.mma(fc, fa, fb);
             w.shared_store(fc, i * n * n * 8);
             w.barrier();
             w.shared_load(fc, i * n * n * 8);
             if i == 0 {
-                w.global_store(fc, crate::memory::global::BufferId(2), 0, 0);
+                w.global_store(fc, BufferId(2), 0, 0);
             }
         });
-        assert_split_matches_legacy(&k, |g| {
+        let (legacy, outcomes) = check_every_backend(&k, |g| {
             g.upload("A", &Matrix::seeded_uniform(n, n, 1), Precision::Fp64);
             g.upload("B", &Matrix::seeded_uniform(n, n, 2), Precision::Fp64);
             g.alloc_zeroed("C", n, n, Precision::Fp64);
         });
+        legacy.unwrap();
+        let native = outcomes[1].unwrap();
+        assert_eq!(native.fast_phases, native.phases);
     }
 
     #[test]
     fn accumulate_stores_match_legacy_in_warp_order() {
-        // Each warp accumulates into a disjoint row band of C; warp-order
-        // settlement must reproduce the interleaved engine's rounding.
+        // Each warp accumulates into a disjoint row band of C; every
+        // backend must reproduce the interleaved engine's rounding.
         let k = BlockKernel::spmd(2, |i, w| {
             let fa = w.frag("a", 2, 4, Precision::Fp16);
-            w.global_load(fa, crate::memory::global::BufferId(0), i * 2, 0);
-            w.global_accumulate(fa, crate::memory::global::BufferId(1), i * 2, 0);
+            w.global_load(fa, BufferId(0), i * 2, 0);
+            w.global_accumulate(fa, BufferId(1), i * 2, 0);
         });
-        assert_split_matches_legacy(&k, |g| {
+        let (legacy, _) = check_every_backend(&k, |g| {
             g.upload("A", &Matrix::seeded_uniform(4, 4, 7), Precision::Fp16);
             g.upload("C", &Matrix::seeded_uniform(4, 4, 9), Precision::Fp16);
         });
+        legacy.unwrap();
     }
 
     #[test]
     fn same_phase_gmem_rmw_falls_back_to_serial_and_matches() {
         // Warp 0 stores then reloads the same C window inside one phase:
-        // the deferred-write fast path cannot see the store, so the
-        // analysis must route the phase through the serial interpreter.
+        // the conflict analysis must route the phase through the serial
+        // interpreter.
         let k = BlockKernel::spmd(2, |i, w| {
             let f = w.frag("x", 2, 2, Precision::Fp64);
-            w.global_load(f, crate::memory::global::BufferId(0), 0, 0);
+            w.global_load(f, BufferId(0), 0, 0);
             if i == 0 {
-                w.global_store(f, crate::memory::global::BufferId(1), 0, 0);
-                w.global_load(f, crate::memory::global::BufferId(1), 0, 0);
+                w.global_store(f, BufferId(1), 0, 0);
+                w.global_load(f, BufferId(1), 0, 0);
             }
         });
-        assert_split_matches_legacy(&k, |g| {
+        let (legacy, outcomes) = check_every_backend(&k, |g| {
             g.upload("A", &Matrix::seeded_uniform(2, 2, 3), Precision::Fp64);
             g.alloc_zeroed("C", 2, 2, Precision::Fp64);
         });
+        legacy.unwrap();
+        assert_eq!(outcomes[1].unwrap().fallback_phases, 1);
     }
 
     #[test]
-    fn parallel_phase_reports_lowest_warp_error_like_legacy() {
-        let dev = gh200();
-        let eng = Engine::new(&dev);
-        // Disjoint smem addresses (parallel-safe), but warps 1 and 2 both
+    fn conflict_free_phase_reports_lowest_warp_error_like_legacy() {
+        // Disjoint smem addresses (conflict-free), but warps 1 and 2 both
         // store uninitialized fragments; legacy reaches warp 1 first.
         let k = BlockKernel::spmd(3, |i, w| {
             let f = w.frag("x", 1, 1, Precision::Fp32);
@@ -569,19 +253,15 @@ mod tests {
             }
             w.shared_store(f, i * 64);
         });
-        let legacy = eng.run(&k, &mut GlobalMemory::new()).map(|_| ());
-        let split = eng.run_passes(&k, &mut GlobalMemory::new()).map(|_| ());
+        let (legacy, _) = check_every_backend(&k, |_| {});
         assert!(matches!(
             legacy,
             Err(SimError::UninitializedFragment { warp: 1, .. })
         ));
-        assert_eq!(legacy, split);
     }
 
     #[test]
-    fn smem_race_errors_identically_through_both_paths() {
-        let dev = gh200();
-        let eng = Engine::new(&dev);
+    fn smem_race_errors_identically_through_every_backend() {
         let k = BlockKernel::spmd(2, |i, w| {
             let f = w.frag("x", 1, 1, Precision::Fp32);
             w.zero_acc(f);
@@ -591,9 +271,7 @@ mod tests {
                 w.shared_load(f, 0);
             }
         });
-        let legacy = eng.run(&k, &mut GlobalMemory::new()).map(|_| ());
-        let split = eng.run_passes(&k, &mut GlobalMemory::new()).map(|_| ());
+        let (legacy, _) = check_every_backend(&k, |_| {});
         assert!(matches!(legacy, Err(SimError::SharedMemoryHazard { .. })));
-        assert_eq!(legacy, split);
     }
 }

@@ -8,12 +8,11 @@
 //!    [`GmemLayout`](crate::memory::global::GmemLayout): it reproduces
 //!    the legacy engine's [`ExecutionReport`] and [`Trace`] exactly,
 //!    including every simulation fault, without touching matrix data.
-//! 3. **execute** ([`Engine::execute_with`], in [`backend`]) — numerics
-//!    only, behind the [`ExecBackend`] seam: the reference
-//!    [`SimBackend`] (rayon-parallel with a serial
-//!    interleaved fallback) or the host-speed
-//!    [`NativeBackend`], both bit-identical to
-//!    the legacy engine including accumulation order.
+//! 3. **execute** ([`Engine::execute_with`], in [`exec`]) — numerics
+//!    only, on the [`BackendKind`] selected: the serial reference
+//!    executor ([`BackendKind::Sim`]) or the host-speed [`native`]
+//!    microkernels ([`BackendKind::Native`]), both bit-identical to the
+//!    legacy engine including accumulation order.
 //!
 //! [`Engine::run_kernel`] chains the three under a [`RunOptions`]
 //! (trace flag, cost override, backend); [`Engine::run`] remains the
@@ -25,9 +24,7 @@ pub mod cost;
 pub mod exec;
 pub mod native;
 
-pub use backend::{BackendKind, ExecBackend, ExecOutcome};
-pub use exec::SimBackend;
-pub use native::NativeBackend;
+pub use backend::{BackendKind, ExecOutcome};
 
 use crate::cost::CostConfig;
 use crate::engine::Engine;
@@ -129,23 +126,17 @@ impl<'a> Engine<'a> {
 
     /// The full pipeline in one call: plan → cost → execute, equivalent
     /// to [`Engine::run`] (bit-identical numerics and report) with the
-    /// passes separable and the execute pass behind the selected
-    /// [`ExecBackend`].
+    /// passes separable and the execute pass on the selected
+    /// [`BackendKind`].
     pub fn run_kernel(
         &self,
         kernel: &BlockKernel,
         gmem: &mut GlobalMemory,
         opts: &RunOptions,
     ) -> Result<RunArtifacts, SimError> {
-        let eng = match &opts.cost {
-            Some(cost) => Engine {
-                device: self.device,
-                cost: cost.clone(),
-            },
-            None => Engine {
-                device: self.device,
-                cost: self.cost.clone(),
-            },
+        let eng = Engine {
+            device: self.device,
+            cost: opts.cost.as_ref().unwrap_or(&self.cost).clone(),
         };
         let plan = eng.plan(kernel)?;
         let layout = gmem.layout();
@@ -162,34 +153,9 @@ impl<'a> Engine<'a> {
             exec,
         })
     }
-
-    /// Pre-`RunOptions` form of [`Self::run_kernel`]: default options,
-    /// report only.
-    #[doc(hidden)]
-    pub fn run_passes(
-        &self,
-        kernel: &BlockKernel,
-        gmem: &mut GlobalMemory,
-    ) -> Result<ExecutionReport, SimError> {
-        self.run_kernel(kernel, gmem, &RunOptions::default())
-            .map(|a| a.report)
-    }
-
-    /// Pre-`RunOptions` form of [`Self::run_kernel`] with tracing on.
-    #[doc(hidden)]
-    pub fn run_passes_traced(
-        &self,
-        kernel: &BlockKernel,
-        gmem: &mut GlobalMemory,
-    ) -> Result<(ExecutionReport, Trace), SimError> {
-        let arts = self.run_kernel(kernel, gmem, &RunOptions::default().traced())?;
-        let trace = arts.trace.expect("traced run always carries a trace");
-        Ok((arts.report, trace))
-    }
 }
 
-/// Options of one [`Engine::run_kernel`] call — the single entry point
-/// that superseded the `run_passes`/`run_passes_traced` pair.
+/// Options of one [`Engine::run_kernel`] call.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Produce the cost pass's [`Trace`] alongside the report.

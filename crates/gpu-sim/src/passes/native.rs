@@ -1,88 +1,200 @@
-//! Native execution backend: host-speed microkernels behind the
-//! [`ExecBackend`] seam.
+//! Native execution backend: the fast executor behind
+//! [`BackendKind::Native`](super::BackendKind::Native).
 //!
 //! The simulator's MMA interpreter pays, per accumulation step, two
 //! precision round-trips on the inputs (for fp16/bf16 that is a
-//! `f64 → half → f64` conversion each) plus per-op slice allocations,
-//! journaling, and rayon fan-out. None of that changes the bits:
-//! fragment data is invariantly quantized at its declared precision
-//! (every write narrows — see [`FragValue::store`]), and every
-//! [`Precision::round`] is idempotent, so re-rounding already-quantized
-//! inputs is a no-op. The native backend exploits exactly that: its
-//! microkernels read inputs as-is and keep only the roundings that
-//! matter — one per accumulation step at the accumulator precision
-//! (`f64::mul_add` product, then `as f32 as f64` for FP32 accumulators,
-//! identity for FP64), and one per element at the fragment's storage
-//! precision after each MMA — the same places the simulator rounds.
+//! `f64 → half → f64` conversion each) plus per-op slice allocations.
+//! None of that changes the bits: fragment data is invariantly
+//! quantized at its declared precision (every write narrows — see
+//! [`FragValue::store`]), and every [`Precision::round`] is idempotent,
+//! so re-rounding already-quantized inputs is a no-op. The native
+//! backend exploits exactly that: its microkernels read inputs as-is
+//! and keep only the roundings that matter — one per accumulation step
+//! at the accumulator precision (`f64::mul_add` product, then
+//! `as f32 as f64` for FP32 accumulators, identity for FP64), and one
+//! per element at the fragment's storage precision after each MMA — the
+//! same places the simulator rounds.
 //!
-//! Phase order is the simulator's warp-settle order: warps serially in
-//! warp order, ops in program order. The legacy engine runs warps
-//! *serially within each phase* too, so this order is identical to both
-//! the interleaved oracle and the journaled parallel path. Phases the
-//! static analysis (`Engine::phase_is_parallel_safe`) cannot prove
-//! conflict-free fall back to the serial simulator loop, so races,
-//! faults, panics, and error ordering reproduce exactly.
+//! Phase order is the reference executor's: warps serially in warp
+//! order, ops in program order — the same order the interleaved oracle
+//! walks. Phases the static conflict analysis
+//! (`phase_is_conflict_free`) cannot prove race-free fall back to the
+//! serial reference loop, so races, faults, panics, and error ordering
+//! reproduce exactly.
 //!
 //! The inner loops are written to autovectorize: for each `(i, l)` the
 //! column sweep is a chain-free FMA over independent accumulators,
 //! unrolled by four. Unrolling reorders nothing — each `(i, j)` chain
 //! still sees its `l`-steps in increasing order.
 
-use super::backend::{BackendKind, ExecBackend, ExecOutcome};
 use super::PlannedKernel;
 use crate::cost::PhaseTally;
-use crate::engine::{frag_decl, require_init, Engine};
+use crate::engine::{frag_decl, overlap, require_init, Engine};
 use crate::error::SimError;
 use crate::fragment::FragValue;
-use crate::memory::global::GlobalMemory;
+use crate::memory::global::{BufferId, GlobalMemory};
 use crate::memory::shared::SharedMemory;
 use crate::precision::Precision;
 use crate::program::{Op, WarpProgram};
 use crate::tensor_core::shape_for;
 
-/// Host-speed execution backend, bit-identical to
-/// [`SimBackend`](super::exec::SimBackend) by construction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NativeBackend;
-
-impl ExecBackend for NativeBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Native
+/// Run the planned kernel's numerics on the native backend; returns how
+/// many phases took the lean loop (the rest fell back to the serial
+/// reference loop).
+pub(crate) fn execute_native(
+    engine: &Engine<'_>,
+    plan: &PlannedKernel<'_>,
+    gmem: &mut GlobalMemory,
+) -> Result<usize, SimError> {
+    let (mut smem, mut frags) = engine.kernel_state(plan.kernel);
+    let mut fast_phases = 0usize;
+    for phase in 0..plan.phases {
+        if phase_is_conflict_free(plan, phase, gmem) {
+            run_phase_native(engine, plan, phase, gmem, &mut smem, &mut frags)?;
+            fast_phases += 1;
+        } else {
+            engine.run_phase_serial(plan, phase, gmem, &mut smem, &mut frags)?;
+        }
     }
+    Ok(fast_phases)
+}
 
-    fn execute(
-        &self,
-        engine: &Engine<'_>,
-        plan: &PlannedKernel<'_>,
-        gmem: &mut GlobalMemory,
-    ) -> Result<ExecOutcome, SimError> {
-        let mut smem = SharedMemory::new(engine.device.smem_capacity);
-        let mut frags: Vec<Vec<FragValue>> = plan
-            .kernel
-            .warps
-            .iter()
-            .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
-            .collect();
+/// A global-memory window access for the static phase analysis.
+#[derive(Clone, Copy)]
+struct GmemAccess {
+    buf: BufferId,
+    rows: (usize, usize),
+    cols: (usize, usize),
+    write: bool,
+}
 
-        let mut fast_phases = 0usize;
-        for phase in 0..plan.phases {
-            // The same analysis that gates the sim's parallel path gates
-            // the lean loop here (without the p > 1 restriction: a
-            // single-warp safe phase needs no race bookkeeping either).
-            if engine.phase_is_parallel_safe(plan, phase, gmem) {
-                run_phase_native(engine, plan, phase, gmem, &mut smem, &mut frags)?;
-                fast_phases += 1;
-            } else {
-                engine.run_phase_serial(plan, phase, gmem, &mut smem, &mut frags)?;
+fn windows_overlap(a: &GmemAccess, b: &GmemAccess) -> bool {
+    a.buf == b.buf && overlap(a.rows, b.rows) && overlap(a.cols, b.cols)
+}
+
+/// Static analysis of one phase: `true` when every warp's accesses are
+/// provably independent, so the lean loop (which skips race
+/// bookkeeping) reproduces the reference executor's state exactly.
+/// Anything uncertain — overlap, out-of-range ids, out-of-bounds
+/// windows, same-phase global read-after-write — routes to the serial
+/// fallback instead. Op addresses are static literals, so the static
+/// verdict equals runtime behavior.
+fn phase_is_conflict_free(plan: &PlannedKernel<'_>, phase: usize, gmem: &GlobalMemory) -> bool {
+    let p = plan.warps;
+    let mut smem_w: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
+    let mut smem_r: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
+    let mut gmem_accs: Vec<Vec<GmemAccess>> = vec![Vec::new(); p];
+
+    for w in 0..p {
+        let prog = &plan.kernel.warps[w];
+        for op in plan.ops(w, phase) {
+            match *op {
+                Op::SharedStore { src, addr } => match prog.frags.get(src) {
+                    Some(d) => smem_w[w].push((addr, d.elems() * d.precision.size_bytes())),
+                    None => return false,
+                },
+                Op::SharedLoad { dst, addr } => match prog.frags.get(dst) {
+                    Some(d) => smem_r[w].push((addr, d.elems() * d.precision.size_bytes())),
+                    None => return false,
+                },
+                Op::MetaStore { addr, bytes } => smem_w[w].push((addr, bytes)),
+                Op::MetaLoad { addr, bytes } => smem_r[w].push((addr, bytes)),
+                Op::GlobalLoad {
+                    dst,
+                    buf,
+                    row0,
+                    col0,
+                } => match gmem_window(gmem, prog, dst, buf, row0, col0, false) {
+                    Some(acc) => gmem_accs[w].push(acc),
+                    None => return false,
+                },
+                Op::GlobalStore {
+                    src,
+                    buf,
+                    row0,
+                    col0,
+                    ..
+                } => match gmem_window(gmem, prog, src, buf, row0, col0, true) {
+                    Some(acc) => gmem_accs[w].push(acc),
+                    None => return false,
+                },
+                _ => {}
             }
         }
-        Ok(ExecOutcome {
-            backend: BackendKind::Native,
-            phases: plan.phases,
-            fast_phases,
-            fallback_phases: plan.phases - fast_phases,
-        })
     }
+
+    // Cross-warp shared-memory overlap of any kind (write/read,
+    // write/write — the same pairs race detection rejects).
+    for w1 in 0..p {
+        for w2 in (w1 + 1)..p {
+            for &a in &smem_w[w1] {
+                if smem_w[w2]
+                    .iter()
+                    .chain(smem_r[w2].iter())
+                    .any(|&b| overlap(a, b))
+                {
+                    return false;
+                }
+            }
+            for &a in &smem_r[w1] {
+                if smem_w[w2].iter().any(|&b| overlap(a, b)) {
+                    return false;
+                }
+            }
+        }
+    }
+
+    // Cross-warp global overlap where at least one side writes.
+    for w1 in 0..p {
+        for w2 in (w1 + 1)..p {
+            for a in &gmem_accs[w1] {
+                for b in &gmem_accs[w2] {
+                    if (a.write || b.write) && windows_overlap(a, b) {
+                        return false;
+                    }
+                }
+            }
+        }
+    }
+
+    // Same-warp global read after an earlier same-phase write (kept
+    // conservative: such phases take the serial loop).
+    for accs in &gmem_accs {
+        for (i, a) in accs.iter().enumerate() {
+            if !a.write && accs[..i].iter().any(|b| b.write && windows_overlap(a, b)) {
+                return false;
+            }
+        }
+    }
+
+    true
+}
+
+/// Resolve one global access to a checked window, or `None` if anything
+/// about it would fault (the serial path reproduces the fault).
+fn gmem_window(
+    gmem: &GlobalMemory,
+    prog: &WarpProgram,
+    frag: usize,
+    buf: BufferId,
+    row0: usize,
+    col0: usize,
+    write: bool,
+) -> Option<GmemAccess> {
+    let d = prog.frags.get(frag)?;
+    if buf.0 >= gmem.buffer_count() {
+        return None;
+    }
+    let (brows, bcols) = gmem.shape(buf);
+    if row0 + d.rows > brows || col0 + d.cols > bcols {
+        return None;
+    }
+    Some(GmemAccess {
+        buf,
+        rows: (row0, d.rows),
+        cols: (col0, d.cols),
+        write,
+    })
 }
 
 /// One statically race-free phase in warp-settle order. MMAs go through
@@ -338,7 +450,7 @@ mod tests {
     use super::*;
     use crate::device::gh200;
     use crate::matrix::Matrix;
-    use crate::memory::global::BufferId;
+    use crate::passes::{BackendKind, ExecOutcome};
     use crate::program::BlockKernel;
 
     /// Every `Precision::round` must be idempotent: the microkernels
@@ -535,8 +647,9 @@ mod tests {
 
     #[test]
     fn native_single_warp_safe_phase_skips_fallback() {
-        // SimBackend runs single-warp phases serially (p > 1 gate); the
-        // native lean loop has no such gate and must still match.
+        // The reference executor never takes a fast path; the native
+        // lean loop takes every conflict-free phase, single-warp ones
+        // included, and must still match.
         let n = 8;
         let k = BlockKernel::spmd(1, |_, w| {
             let fa = w.frag("A", n, n, Precision::Fp32);
@@ -548,13 +661,38 @@ mod tests {
             w.mma(fc, fa, fb);
             w.global_store(fc, BufferId(2), 0, 0);
         });
-        let (sim, nat, g_sim, g_nat) = both_backends(&k, |g| {
+        let build = |g: &mut GlobalMemory| {
             g.upload("A", &Matrix::seeded_uniform(n, n, 3), Precision::Fp32);
             g.upload("B", &Matrix::seeded_uniform(n, n, 4), Precision::Fp32);
             g.alloc_zeroed("C", n, n, Precision::Fp32);
-        });
+        };
+        let (sim, nat, g_sim, g_nat) = both_backends(&k, build);
         assert_eq!(sim.unwrap().fast_phases, 0);
         assert_eq!(nat.unwrap().fast_phases, 1);
+        assert_state_identical(&g_sim, &g_nat);
+
+        // Multi-warp and conflict-free in both phases: disjoint smem
+        // staging, shared read-only A/B windows, one writer of C.
+        let k = BlockKernel::spmd(4, |i, w| {
+            let fa = w.frag("A", n, n, Precision::Fp32);
+            let fb = w.frag("B", n, n, Precision::Fp32);
+            let fc = w.frag("C", n, n, Precision::Fp32);
+            w.global_load(fa, BufferId(0), 0, 0);
+            w.global_load(fb, BufferId(1), 0, 0);
+            w.zero_acc(fc);
+            w.mma(fc, fa, fb);
+            w.shared_store(fc, i * n * n * 4);
+            w.barrier();
+            w.shared_load(fc, i * n * n * 4);
+            if i == 3 {
+                w.global_store(fc, BufferId(2), 0, 0);
+            }
+        });
+        let (sim, nat, g_sim, g_nat) = both_backends(&k, build);
+        let (sim, nat) = (sim.unwrap(), nat.unwrap());
+        assert_eq!(sim.phases, 2);
+        assert_eq!(sim.fast_phases, 0);
+        assert_eq!(nat.fast_phases, nat.phases);
         assert_state_identical(&g_sim, &g_nat);
     }
 }

@@ -113,6 +113,32 @@ mod tests {
     }
 
     #[test]
+    fn invalid_true_cost_resolves_tickets_with_typed_error() {
+        use kami_core::KamiError;
+        use kami_gpu_sim::{CostConfig, SimError};
+        use kami_sched::SchedError;
+        let dev = gh200();
+        let config = ServerConfig {
+            true_cost: Some(CostConfig {
+                theta_w: 0.0,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let server = Server::with_config(&dev, config);
+        let tickets: Vec<_> = (0..3).map(|i| server.submit(dense(i)).unwrap()).collect();
+        server.drain();
+        for t in tickets {
+            match t.wait() {
+                Err(ServeError::Sched(SchedError::Core(KamiError::Sim(
+                    SimError::InvalidCostConfig { field, value },
+                )))) => assert_eq!((field, value), ("theta_w", 0.0)),
+                other => panic!("expected InvalidCostConfig, got {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
     fn same_shape_requests_coalesce_into_one_group() {
         let dev = gh200();
         let server = Server::new(&dev);
