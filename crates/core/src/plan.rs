@@ -227,6 +227,65 @@ mod tests {
         }
     }
 
+    /// `gemm_execute_plan_with` drops the `ExecOutcome`, so a whole
+    /// algorithm could fall back to the serial loop unseen: every
+    /// shipped algorithm must run every phase on Native's lean loop.
+    #[test]
+    fn no_shipped_algorithm_falls_back_on_native() {
+        let dev = gh200();
+        let mut ran = [0usize; 3];
+        for (ai, algo) in Algo::ALL.into_iter().enumerate() {
+            for prec in [Precision::Fp64, Precision::Fp16, Precision::Tf32] {
+                for warps in [1, 4, 8, 27] {
+                    for frac in [0.0, 0.25] {
+                        for s in [32, 64] {
+                            let cfg = KamiConfig::new(algo, prec)
+                                .with_warps(warps)
+                                .with_smem_fraction(frac);
+                            if cfg.validate(&dev, s, s, s).is_err() {
+                                continue;
+                            }
+                            let c_prec = c_precision(prec);
+                            let operands = || {
+                                let mut g = GlobalMemory::new();
+                                let ab = g.upload("A", &Matrix::seeded_uniform(s, s, 1), prec);
+                                let bb = g.upload("B", &Matrix::seeded_uniform(s, s, 2), prec);
+                                let cb = g.alloc_zeroed("C", s, s, c_prec);
+                                (g, ab, bb, cb)
+                            };
+                            let (mut g_sim, ab, bb, cb) = operands();
+                            let (mut g_nat, ..) = operands();
+                            let kernel = build_gemm_kernel(&cfg, s, s, s, ab, bb, cb, c_prec);
+                            let engine = Engine::new(&dev);
+                            // Register overflow: the §4.7 ladder escalates past it.
+                            let Ok(planned) = engine.plan(&kernel) else {
+                                continue;
+                            };
+                            engine
+                                .execute_with(BackendKind::Sim, &planned, &mut g_sim)
+                                .unwrap();
+                            let out = engine
+                                .execute_with(BackendKind::Native, &planned, &mut g_nat)
+                                .unwrap();
+                            let case = format!("{} {prec:?} w{warps} f{frac} {s}³", algo.label());
+                            assert_eq!(out.fallback_phases, 0, "{case}: fell back");
+                            assert_eq!(
+                                g_sim.download(cb).max_abs_diff(&g_nat.download(cb)),
+                                0.0,
+                                "{case}: native diverges"
+                            );
+                            ran[ai] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            ran.iter().all(|&n| n > 0),
+            "an algorithm never ran: {ran:?}"
+        );
+    }
+
     #[test]
     fn execute_plan_rejects_mismatched_operands() {
         let dev = gh200();

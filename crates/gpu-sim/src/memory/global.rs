@@ -206,6 +206,7 @@ impl GlobalMemory {
         out
     }
 
+    #[cfg(test)]
     pub(crate) fn buffer_count(&self) -> usize {
         self.buffers.len()
     }

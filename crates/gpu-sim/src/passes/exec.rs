@@ -11,9 +11,9 @@
 //!   fault surfaces with the same error, panic message, and ordering as
 //!   [`Engine::run`].
 //! * **Fast** ([`BackendKind::Native`], in [`super::native`]) — the same
-//!   walk with host-speed MMA microkernels on phases its static conflict
-//!   analysis proves race-free, and this module's serial phase loop on
-//!   every other phase.
+//!   walk with host-speed MMA microkernels on phases its static
+//!   shared-memory analysis proves race-free, and this module's serial
+//!   phase loop on every other phase.
 //!
 //! The pass performs no tallying and consults no
 //! [`CostConfig`](crate::cost::CostConfig): cycles are the cost pass's
@@ -207,6 +207,10 @@ mod tests {
 
     #[test]
     fn accumulate_stores_match_legacy_in_warp_order() {
+        let build = |g: &mut GlobalMemory| {
+            g.upload("A", &Matrix::seeded_uniform(4, 4, 7), Precision::Fp16);
+            g.upload("C", &Matrix::seeded_uniform(4, 4, 9), Precision::Fp16);
+        };
         // Each warp accumulates into a disjoint row band of C; every
         // backend must reproduce the interleaved engine's rounding.
         let k = BlockKernel::spmd(2, |i, w| {
@@ -214,18 +218,28 @@ mod tests {
             w.global_load(fa, BufferId(0), i * 2, 0);
             w.global_accumulate(fa, BufferId(1), i * 2, 0);
         });
-        let (legacy, _) = check_every_backend(&k, |g| {
-            g.upload("A", &Matrix::seeded_uniform(4, 4, 7), Precision::Fp16);
-            g.upload("C", &Matrix::seeded_uniform(4, 4, 9), Precision::Fp16);
-        });
+        let (legacy, _) = check_every_backend(&k, build);
         legacy.unwrap();
+
+        // Both warps accumulate into the same C window in one phase,
+        // the cross-layer aggregation of KAMI-3D: warp order settles
+        // it, so Native keeps the phase on its lean loop.
+        let k = BlockKernel::spmd(2, |i, w| {
+            let fa = w.frag("a", 2, 4, Precision::Fp16);
+            w.global_load(fa, BufferId(0), i * 2, 0);
+            w.global_accumulate(fa, BufferId(1), 0, 0);
+        });
+        let (legacy, outcomes) = check_every_backend(&k, build);
+        legacy.unwrap();
+        let native = outcomes[1].unwrap();
+        assert_eq!(native.fast_phases, native.phases);
     }
 
     #[test]
-    fn same_phase_gmem_rmw_falls_back_to_serial_and_matches() {
+    fn same_phase_gmem_rmw_runs_lean_and_matches() {
         // Warp 0 stores then reloads the same C window inside one phase:
-        // the conflict analysis must route the phase through the serial
-        // interpreter.
+        // global ops run in warp and program order on both loops, so
+        // Native keeps the phase lean and must still match.
         let k = BlockKernel::spmd(2, |i, w| {
             let f = w.frag("x", 2, 2, Precision::Fp64);
             w.global_load(f, BufferId(0), 0, 0);
@@ -239,7 +253,8 @@ mod tests {
             g.alloc_zeroed("C", 2, 2, Precision::Fp64);
         });
         legacy.unwrap();
-        assert_eq!(outcomes[1].unwrap().fallback_phases, 1);
+        let native = outcomes[1].unwrap();
+        assert_eq!(native.fast_phases, native.phases);
     }
 
     #[test]

@@ -10,29 +10,34 @@
 //! so re-rounding already-quantized inputs is a no-op. The native
 //! backend exploits exactly that: its microkernels read inputs as-is
 //! and keep only the roundings that matter — one per accumulation step
-//! at the accumulator precision (`f64::mul_add` product, then
-//! `as f32 as f64` for FP32 accumulators, identity for FP64), and one
-//! per element at the fragment's storage precision after each MMA — the
-//! same places the simulator rounds.
+//! at the accumulator precision, and one per element at the fragment's
+//! storage precision after each MMA — the same places the simulator
+//! rounds. FP64 steps are `f64::mul_add`; FP32-accumulated steps are
+//! `(a * b + c) as f32 as f64`, whose product is exact in f64 because
+//! the quantized inputs carry at most 24 significand bits (see
+//! `fma_step`), so the single rounding equals `mul_add`'s.
 //!
 //! Phase order is the reference executor's: warps serially in warp
 //! order, ops in program order — the same order the interleaved oracle
-//! walks. Phases the static conflict analysis
-//! (`phase_is_conflict_free`) cannot prove race-free fall back to the
-//! serial reference loop, so races, faults, panics, and error ordering
-//! reproduce exactly.
+//! walks. The only hazards that order does not settle are same-phase
+//! cross-warp shared-memory overlaps, which race detection rejects.
+//! Phases in which the static conflict analysis
+//! (`phase_is_conflict_free`) finds one fall back to the serial
+//! reference loop, so races and their error ordering reproduce exactly. Global ops run
+//! through the simulator's own `exec_op` on both loops, so global
+//! faults and panics need no analysis.
 //!
 //! The inner loops are written to autovectorize: for each `(i, l)` the
-//! column sweep is a chain-free FMA over independent accumulators,
-//! unrolled by four. Unrolling reorders nothing — each `(i, j)` chain
-//! still sees its `l`-steps in increasing order.
+//! column sweep is a chain-free multiply-add over independent
+//! accumulators, unrolled by four. Unrolling reorders nothing — each
+//! `(i, j)` chain still sees its `l`-steps in increasing order.
 
 use super::PlannedKernel;
 use crate::cost::PhaseTally;
 use crate::engine::{frag_decl, overlap, require_init, Engine};
 use crate::error::SimError;
 use crate::fragment::FragValue;
-use crate::memory::global::{BufferId, GlobalMemory};
+use crate::memory::global::GlobalMemory;
 use crate::memory::shared::SharedMemory;
 use crate::precision::Precision;
 use crate::program::{Op, WarpProgram};
@@ -49,7 +54,7 @@ pub(crate) fn execute_native(
     let (mut smem, mut frags) = engine.kernel_state(plan.kernel);
     let mut fast_phases = 0usize;
     for phase in 0..plan.phases {
-        if phase_is_conflict_free(plan, phase, gmem) {
+        if phase_is_conflict_free(plan, phase) {
             run_phase_native(engine, plan, phase, gmem, &mut smem, &mut frags)?;
             fast_phases += 1;
         } else {
@@ -59,31 +64,20 @@ pub(crate) fn execute_native(
     Ok(fast_phases)
 }
 
-/// A global-memory window access for the static phase analysis.
-#[derive(Clone, Copy)]
-struct GmemAccess {
-    buf: BufferId,
-    rows: (usize, usize),
-    cols: (usize, usize),
-    write: bool,
-}
-
-fn windows_overlap(a: &GmemAccess, b: &GmemAccess) -> bool {
-    a.buf == b.buf && overlap(a.rows, b.rows) && overlap(a.cols, b.cols)
-}
-
-/// Static analysis of one phase: `true` when every warp's accesses are
-/// provably independent, so the lean loop (which skips race
+/// Static analysis of one phase: `true` when no two warps touch
+/// overlapping shared-memory bytes, so the lean loop (which skips race
 /// bookkeeping) reproduces the reference executor's state exactly.
-/// Anything uncertain — overlap, out-of-range ids, out-of-bounds
-/// windows, same-phase global read-after-write — routes to the serial
-/// fallback instead. Op addresses are static literals, so the static
-/// verdict equals runtime behavior.
-fn phase_is_conflict_free(plan: &PlannedKernel<'_>, phase: usize, gmem: &GlobalMemory) -> bool {
+/// Cross-warp overlap of any kind, or a shared op naming an
+/// out-of-range fragment, routes the phase to the serial fallback,
+/// which raises the same hazard or error. Global ops need no check: the
+/// lean loop runs them through the same `exec_op`, in the same warp and
+/// program order, so same-window accumulates, read-after-write and
+/// out-of-bounds panics behave identically on both loops. Op addresses
+/// are static literals, so the static verdict equals runtime behavior.
+fn phase_is_conflict_free(plan: &PlannedKernel<'_>, phase: usize) -> bool {
     let p = plan.warps;
     let mut smem_w: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
     let mut smem_r: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
-    let mut gmem_accs: Vec<Vec<GmemAccess>> = vec![Vec::new(); p];
 
     for w in 0..p {
         let prog = &plan.kernel.warps[w];
@@ -99,25 +93,6 @@ fn phase_is_conflict_free(plan: &PlannedKernel<'_>, phase: usize, gmem: &GlobalM
                 },
                 Op::MetaStore { addr, bytes } => smem_w[w].push((addr, bytes)),
                 Op::MetaLoad { addr, bytes } => smem_r[w].push((addr, bytes)),
-                Op::GlobalLoad {
-                    dst,
-                    buf,
-                    row0,
-                    col0,
-                } => match gmem_window(gmem, prog, dst, buf, row0, col0, false) {
-                    Some(acc) => gmem_accs[w].push(acc),
-                    None => return false,
-                },
-                Op::GlobalStore {
-                    src,
-                    buf,
-                    row0,
-                    col0,
-                    ..
-                } => match gmem_window(gmem, prog, src, buf, row0, col0, true) {
-                    Some(acc) => gmem_accs[w].push(acc),
-                    None => return false,
-                },
                 _ => {}
             }
         }
@@ -144,57 +119,7 @@ fn phase_is_conflict_free(plan: &PlannedKernel<'_>, phase: usize, gmem: &GlobalM
         }
     }
 
-    // Cross-warp global overlap where at least one side writes.
-    for w1 in 0..p {
-        for w2 in (w1 + 1)..p {
-            for a in &gmem_accs[w1] {
-                for b in &gmem_accs[w2] {
-                    if (a.write || b.write) && windows_overlap(a, b) {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-
-    // Same-warp global read after an earlier same-phase write (kept
-    // conservative: such phases take the serial loop).
-    for accs in &gmem_accs {
-        for (i, a) in accs.iter().enumerate() {
-            if !a.write && accs[..i].iter().any(|b| b.write && windows_overlap(a, b)) {
-                return false;
-            }
-        }
-    }
-
     true
-}
-
-/// Resolve one global access to a checked window, or `None` if anything
-/// about it would fault (the serial path reproduces the fault).
-fn gmem_window(
-    gmem: &GlobalMemory,
-    prog: &WarpProgram,
-    frag: usize,
-    buf: BufferId,
-    row0: usize,
-    col0: usize,
-    write: bool,
-) -> Option<GmemAccess> {
-    let d = prog.frags.get(frag)?;
-    if buf.0 >= gmem.buffer_count() {
-        return None;
-    }
-    let (brows, bcols) = gmem.shape(buf);
-    if row0 + d.rows > brows || col0 + d.cols > bcols {
-        return None;
-    }
-    Some(GmemAccess {
-        buf,
-        rows: (row0, d.rows),
-        cols: (col0, d.cols),
-        write,
-    })
 }
 
 /// One statically race-free phase in warp-settle order. MMAs go through
@@ -370,8 +295,8 @@ fn native_mma(
 
 /// Dispatch on the accumulator precision. FP64 inputs accumulate at
 /// FP64 (the rounding is the identity); everything else accumulates at
-/// FP32 — one `as f32 as f64` per step, exactly
-/// [`fma_acc`](crate::precision::fma_acc) with the input re-rounding
+/// FP32 — one exact-product step rounded `as f32 as f64`, bit-identical
+/// to [`fma_acc`](crate::precision::fma_acc) with the input re-rounding
 /// elided (inputs are invariantly pre-quantized).
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -395,20 +320,26 @@ fn microkernel(
     }
 }
 
+/// One accumulation step, bit-identical to `fma_acc`. FP64 inputs keep
+/// the fused `mul_add`. Every `ROUND32` input has at most 24 significand
+/// bits (FP32, TF32, FP16, BF16 or FP8, invariantly quantized), so
+/// `a * b` has at most 48 and lies within 2⁻²⁹⁸…2²⁵⁶: it is exact in
+/// f64, and `a * b + c` rounds once, exactly as `mul_add` does — without
+/// the per-element libm call that blocks vectorization when the target
+/// lacks FMA. Rust never contracts `a * b + c` into an FMA.
 #[inline(always)]
 fn fma_step<const ROUND32: bool>(a: f64, b: f64, c: f64) -> f64 {
-    let s = a.mul_add(b, c);
     if ROUND32 {
-        s as f32 as f64
+        (a * b + c) as f32 as f64
     } else {
-        s
+        a.mul_add(b, c)
     }
 }
 
 /// `d[m×n] += a[:, ac0..ac0+k] · b[br0..br0+k, :]` with the `(i, l, j)`
 /// loop order: each `(i, j)` accumulator still sees its `l`-steps in
 /// increasing order (bit-identical to the simulator's `(i, j, l)`
-/// order), while the inner column sweep is independent FMAs the
+/// order), while the inner column sweep is independent multiply-adds the
 /// compiler can vectorize. Explicit 4-way unroll for the common
 /// power-of-two tile widths.
 #[allow(clippy::too_many_arguments)]
@@ -450,6 +381,7 @@ mod tests {
     use super::*;
     use crate::device::gh200;
     use crate::matrix::Matrix;
+    use crate::memory::global::BufferId;
     use crate::passes::{BackendKind, ExecOutcome};
     use crate::program::BlockKernel;
 
@@ -475,6 +407,57 @@ mod tests {
             for &edge in &[0.0, -0.0, p.max_finite(), -p.max_finite(), 1e300, 1e-300] {
                 let once = p.round(edge);
                 assert_eq!(p.round(once), once, "{p:?} not idempotent at {edge}");
+            }
+        }
+    }
+
+    /// `fma_step::<true>` drops `mul_add` on the claim that the product
+    /// of two inputs quantized below FP64 is exact in f64: it must equal
+    /// [`fma_acc`](crate::precision::fma_acc) bit for bit on every such
+    /// precision, at the range extremes and subnormals included.
+    #[test]
+    fn exact_product_step_matches_fma_acc_bitwise() {
+        // Smallest positive subnormal of each precision.
+        let precs = [
+            (Precision::Fp32, 2f64.powi(-149)),
+            (Precision::Tf32, 2f64.powi(-136)),
+            (Precision::Fp16, 2f64.powi(-24)),
+            (Precision::Bf16, 2f64.powi(-133)),
+            (Precision::Fp8E4M3, 2f64.powi(-9)),
+        ];
+        // Uniform draws in [-1, 1): a mantissa and an exponent position
+        // per random value.
+        let draws = Matrix::seeded_uniform(4, 100, 0x5eed);
+        let spread = |u: f64, lo: f64, hi: f64| (lo + (u + 1.0) / 2.0 * (hi - lo)) as i32;
+        for (p, tiny) in precs {
+            assert_eq!(p.round(tiny), tiny, "{p:?}: {tiny:e} is not representable");
+            assert_eq!(
+                p.round(tiny / 2.0),
+                0.0,
+                "{p:?}: {tiny:e} is not the smallest"
+            );
+            let top = p.max_finite();
+            let mut vals = vec![top, -top, tiny, -tiny, 0.0, -0.0];
+            let f32_top = Precision::Fp32.max_finite();
+            let mut accs = vec![f32_top, -f32_top, 2f64.powi(-149), 0.0, -0.0];
+            for t in 0..100 {
+                let e = spread(draws.get(1, t), tiny.log2(), top.log2());
+                vals.push(p.round(draws.get(0, t) * 2f64.powi(e)).clamp(-top, top));
+                let e = spread(draws.get(3, t), -149.0, 127.0);
+                accs.push(Precision::Fp32.round(draws.get(2, t) * 2f64.powi(e)));
+            }
+            for &a in &vals {
+                for &b in &vals {
+                    for &c in &accs {
+                        let want = crate::precision::fma_acc(Precision::Fp32, a, b, c);
+                        let got = fma_step::<true>(a, b, c);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{p:?}: a={a:e} b={b:e} c={c:e}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -74,7 +74,8 @@ impl Precision {
         match self {
             Precision::Fp64 => f64::MAX,
             Precision::Fp32 => f64::from(f32::MAX),
-            Precision::Tf32 => round_tf32(f64::from(f32::MAX)),
+            // (2 − 2⁻¹⁰)·2¹²⁷: FP32's exponent range, 10 mantissa bits.
+            Precision::Tf32 => f64::from(f32::from_bits(0x7F7F_E000)),
             Precision::Fp16 => 65504.0,
             Precision::Bf16 => f64::from(half::bf16::MAX),
             Precision::Fp8E4M3 => 448.0,
@@ -304,6 +305,20 @@ mod tests {
             let x = (2.0f64).powi(e);
             assert_eq!(Precision::Fp8E4M3.round(x), x, "2^{e}");
         }
+    }
+
+    #[test]
+    fn max_finite_is_finite_and_representable() {
+        for p in Precision::ALL_EVALUATED {
+            let top = p.max_finite();
+            assert!(top.is_finite(), "{p:?}: {top}");
+            assert_eq!(p.round(top), top, "{p:?}");
+        }
+        // TF32 keeps FP32's exponent range with 10 mantissa bits.
+        assert_eq!(
+            Precision::Tf32.max_finite(),
+            (2.0 - 2f64.powi(-10)) * 2f64.powi(127)
+        );
     }
 
     #[test]
