@@ -19,6 +19,7 @@ use crate::fragment::FragValue;
 use crate::memory::global::GlobalMemory;
 use crate::memory::regfile::{self, LiveRange, RegisterUsage};
 use crate::memory::shared::SharedMemory;
+use crate::passes::{native, BackendKind};
 use crate::program::{BlockKernel, Op, UnaryFunc, WarpProgram};
 use crate::report::ExecutionReport;
 use crate::tensor_core::{mma_fragment, shape_for};
@@ -206,6 +207,7 @@ impl<'a> Engine<'a> {
                         None
                     };
                     self.exec_op(
+                        BackendKind::Sim,
                         w,
                         prog,
                         &op,
@@ -289,10 +291,13 @@ impl<'a> Engine<'a> {
         (smem, frags)
     }
 
-    /// Execute one op of warp `w` with full functional semantics.
+    /// Execute one op of warp `w` with full functional semantics. The
+    /// backend picks only the MMA body (see [`Self::exec_mma`]); every
+    /// check, message and traffic counter is shared.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_op(
         &self,
+        backend: BackendKind,
         w: usize,
         prog: &WarpProgram,
         op: &Op,
@@ -396,7 +401,8 @@ impl<'a> Engine<'a> {
                 require_init(warp_frags, a, w, prog)?;
                 require_init(warp_frags, b, w, prog)?;
                 require_init(warp_frags, d, w, prog)?;
-                let flops = self.exec_mma(prog, d, a, b, a_cols, b_rows, warp_frags, tally)?;
+                let flops =
+                    self.exec_mma(backend, prog, d, a, b, a_cols, b_rows, warp_frags, tally)?;
                 *flops_charged += flops;
             }
             Op::Scale { frag, factor } => {
@@ -481,7 +487,7 @@ impl<'a> Engine<'a> {
                 tally.reg_copies += 1;
             }
             Op::MetaStore { addr, bytes } => {
-                if addr + bytes > smem.capacity() {
+                if meta_out_of_range(addr, bytes, smem.capacity()) {
                     return Err(SimError::SharedMemoryOverflow {
                         detail: format!("metadata at {addr}+{bytes} exceeds {} B", smem.capacity()),
                     });
@@ -490,6 +496,15 @@ impl<'a> Engine<'a> {
                 writes.push((w, (addr, bytes)));
             }
             Op::MetaLoad { addr, bytes } => {
+                if meta_out_of_range(addr, bytes, smem.capacity()) {
+                    return Err(SimError::SharedMemoryFault {
+                        warp: w,
+                        detail: format!(
+                            "metadata read at {addr}+{bytes} exceeds {} B",
+                            smem.capacity()
+                        ),
+                    });
+                }
                 tally.smem_bytes_read += bytes as u64;
                 tally.has_smem_load = true;
                 reads.push((w, (addr, bytes)));
@@ -499,9 +514,16 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
+    /// Fragment MMA `d += a[:, a_cols] · b[b_rows, :]`: the legality
+    /// checks, then the body of the selected backend — the reference
+    /// slice extraction plus [`mma_fragment`] for [`BackendKind::Sim`],
+    /// the strided host microkernel of [`crate::passes::native`] for
+    /// [`BackendKind::Native`]. Both accumulate in the same order with
+    /// the same roundings, so they leave identical bits.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_mma(
+    fn exec_mma(
         &self,
+        backend: BackendKind,
         prog: &WarpProgram,
         d: usize,
         a: usize,
@@ -553,46 +575,40 @@ impl<'a> Engine<'a> {
                 precision: ad.precision.label().to_string(),
             })?;
 
-        // Extract the k-slices row-major.
         let (m, n, k) = (ad.rows, bd.cols, ak);
-        let a_slice: Vec<f64> = {
-            let src = &warp_frags[a].data;
-            let mut v = Vec::with_capacity(m * k);
-            for r in 0..m {
-                v.extend_from_slice(&src[r * ad.cols + ac0..r * ad.cols + ac0 + ak]);
+        let flops = match backend {
+            BackendKind::Sim => {
+                // Extract the k-slices row-major.
+                let a_slice = k_slice(&warp_frags[a].data, ad.cols, ac0, m, k);
+                let b_slice = k_slice(&warp_frags[b].data, bd.cols, br0 * bd.cols, k, n);
+                mma_fragment(
+                    shape,
+                    ad.precision,
+                    m,
+                    n,
+                    k,
+                    &a_slice,
+                    &b_slice,
+                    &mut warp_frags[d].data,
+                )
             }
-            v
-        };
-        let b_slice: Vec<f64> = {
-            let src = &warp_frags[b].data;
-            let mut v = Vec::with_capacity(k * n);
-            for r in 0..k {
-                v.extend_from_slice(&src[(br0 + r) * bd.cols..(br0 + r) * bd.cols + n]);
+            BackendKind::Native => {
+                let acc = ad.precision.accumulator();
+                native::mma(
+                    acc, m, n, k, warp_frags, d, a, ad.cols, ac0, b, bd.cols, br0,
+                );
+                shape.padded_flops(m, n, k)
             }
-            v
         };
-        let flops = {
-            let dv = &mut warp_frags[d];
-            let f = mma_fragment(
-                shape,
-                ad.precision,
-                m,
-                n,
-                k,
-                &a_slice,
-                &b_slice,
-                &mut dv.data,
-            );
-            // The accumulator fragment holds values at its own precision.
-            let dp = dv.decl.precision;
-            for x in dv.data.iter_mut() {
-                *x = dp.round(*x);
-            }
-            f
-        };
+        // The accumulator fragment holds values at its own precision.
+        let dp = dd.precision;
+        for x in warp_frags[d].data.iter_mut() {
+            *x = dp.round(*x);
+        }
         tally.add_flops(ad.precision, flops);
         Ok(flops)
     }
+
     /// Lay one phase's raw op records onto the simulated clock: each
     /// warp's ops run back to back from the phase start, each op sized by
     /// its standalone cost (bytes over bandwidth, flops over one tensor
@@ -726,7 +742,7 @@ pub(crate) fn frag_decl(
     })
 }
 
-pub(crate) fn require_init(
+fn require_init(
     warp_frags: &[FragValue],
     id: usize,
     warp: usize,
@@ -744,7 +760,31 @@ pub(crate) fn require_init(
     Ok(())
 }
 
-pub(crate) fn overlap(a: (usize, usize), b: (usize, usize)) -> bool {
+/// Copy `rows` windows of `width` values, row `r` starting at
+/// `src[r * stride + offset]`, into one row-major buffer: an MMA
+/// operand's k-slice.
+pub(crate) fn k_slice(
+    src: &[f64],
+    stride: usize,
+    offset: usize,
+    rows: usize,
+    width: usize,
+) -> Vec<f64> {
+    let mut v = Vec::with_capacity(rows * width);
+    for r in 0..rows {
+        let start = r * stride + offset;
+        v.extend_from_slice(&src[start..start + width]);
+    }
+    v
+}
+
+/// `true` when the metadata range `addr..addr + bytes` does not fit in
+/// `capacity` bytes of shared memory (an overflowing end included).
+pub(crate) fn meta_out_of_range(addr: usize, bytes: usize, capacity: usize) -> bool {
+    addr.checked_add(bytes).is_none_or(|end| end > capacity)
+}
+
+fn overlap(a: (usize, usize), b: (usize, usize)) -> bool {
     a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 

@@ -76,7 +76,7 @@ pub use occupancy::{
     analyze as analyze_occupancy, analyze_on_chip as analyze_occupancy_on_chip,
     analyze_stream as analyze_occupancy_stream, Limiter, Occupancy, StreamSteady,
 };
-pub use passes::{BackendKind, ExecOutcome, PlannedKernel, RunArtifacts, RunOptions};
+pub use passes::{BackendKind, PlannedKernel, RunArtifacts, RunOptions};
 pub use precision::Precision;
 pub use program::{gelu, BlockKernel, Op, UnaryFunc, WarpProgram};
 pub use report::ExecutionReport;

@@ -3,20 +3,20 @@
 //! The plan and cost passes are pure analysis: they validate a kernel
 //! and price its communication without touching matrix data. The
 //! execute pass is the only consumer of [`GlobalMemory`](crate::GlobalMemory)
-//! values — which makes it swappable. [`BackendKind`] picks one of two
-//! executors and [`Engine::execute_with`](crate::Engine::execute_with)
-//! matches on it; everything above the pass (cycle accounting, plan
+//! values — which makes its arithmetic swappable. [`BackendKind`] picks
+//! the body of each MMA inside the one execute walk of
+//! [`Engine::execute_with`](crate::Engine::execute_with); everything
+//! else (the phase loop, every other op, every legality check, race
+//! detection) and everything above the pass (cycle accounting, plan
 //! caches, scheduling, serving) is backend-agnostic.
 //!
-//! * [`BackendKind::Sim`] — the reference executor: every phase through
-//!   the serial interleaved loop with full race detection. The other
-//!   backend is conformance-tested against it (and transitively against
-//!   [`Engine::run`](crate::engine::Engine::run), the legacy oracle).
-//! * [`BackendKind::Native`] — host-speed microkernels that replay each
-//!   phase in the same warp order, so accumulation order — and
-//!   therefore bits — are identical. Phases the static analysis cannot
-//!   prove conflict-free fall back to the serial reference loop, so
-//!   races and faults surface with the same errors.
+//! * [`BackendKind::Sim`] — the reference body: k-slice extraction plus
+//!   [`mma_fragment`](crate::tensor_core::mma_fragment), the same code
+//!   [`Engine::run`](crate::engine::Engine::run), the interleaved
+//!   oracle, runs.
+//! * [`BackendKind::Native`] — the strided host microkernel of
+//!   [`native`](super::native), accumulating in the same order with the
+//!   same roundings, so the bits are identical.
 //!
 //! The contract every backend must honor (what `ExecParity` checks):
 //! bit-identical global-buffer contents, identical global traffic
@@ -30,10 +30,10 @@ use serde::{Deserialize, Serialize};
 /// it. Defaults to [`BackendKind::Sim`], the reference interpreter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum BackendKind {
-    /// Reference simulator: serial interleaved interpreter + race detector.
+    /// Reference MMA interpreter, the oracle's own arithmetic.
     #[default]
     Sim,
-    /// Host-speed per-precision microkernels, bit-identical to `Sim`.
+    /// Host-speed per-precision MMA microkernel, bit-identical to `Sim`.
     Native,
 }
 
@@ -83,23 +83,6 @@ impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// What one execute-pass run did: which backend ran and how its phases
-/// split between the fast path and the serial fallback. Numerics are
-/// identical either way — this is observability, not semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExecOutcome {
-    /// Backend that executed the kernel.
-    pub backend: BackendKind,
-    /// Total barrier-delimited phases executed.
-    pub phases: usize,
-    /// Phases through the backend's fast path: the lean microkernel
-    /// loop for `Native`, always 0 for the serial `Sim` reference.
-    pub fast_phases: usize,
-    /// Phases through the serial interleaved fallback (conflicting or
-    /// statically unsafe phases that need the race detector).
-    pub fallback_phases: usize,
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 
 use super::PlannedKernel;
 use crate::cost::{phase_cost, PhaseCost, PhaseTally};
-use crate::engine::{describe_op, detect_races, frag_decl, Engine};
+use crate::engine::{describe_op, detect_races, frag_decl, meta_out_of_range, Engine};
 use crate::error::SimError;
 use crate::memory::global::GmemLayout;
 use crate::memory::shared::SharedMemory;
@@ -351,7 +351,7 @@ impl<'a> Engine<'a> {
                 tally.reg_copies += 1;
             }
             Op::MetaStore { addr, bytes } => {
-                if addr + bytes > smem.capacity() {
+                if meta_out_of_range(addr, bytes, smem.capacity()) {
                     return Err(SimError::SharedMemoryOverflow {
                         detail: format!("metadata at {addr}+{bytes} exceeds {} B", smem.capacity()),
                     });
@@ -360,6 +360,15 @@ impl<'a> Engine<'a> {
                 writes.push((w, (addr, bytes)));
             }
             Op::MetaLoad { addr, bytes } => {
+                if meta_out_of_range(addr, bytes, smem.capacity()) {
+                    return Err(SimError::SharedMemoryFault {
+                        warp: w,
+                        detail: format!(
+                            "metadata read at {addr}+{bytes} exceeds {} B",
+                            smem.capacity()
+                        ),
+                    });
+                }
                 tally.smem_bytes_read += bytes as u64;
                 tally.has_smem_load = true;
                 reads.push((w, (addr, bytes)));

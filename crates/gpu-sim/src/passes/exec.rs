@@ -1,25 +1,20 @@
 //! Execute pass: numerics only, no cycle accounting.
 //!
-//! Interprets a [`PlannedKernel`] phase by phase. [`Engine::execute_with`]
-//! matches the [`BackendKind`] onto one of two executors, which leave
-//! bit-identical state:
-//!
-//! * **Reference** ([`BackendKind::Sim`]) — every phase runs through
-//!   `Engine::run_phase_serial`: warps in order, ops in program order,
-//!   then same-phase race detection. KAMI kernels exchange data between
-//!   warps only across a barrier, so this walk *is* the semantics; every
-//!   fault surfaces with the same error, panic message, and ordering as
-//!   [`Engine::run`].
-//! * **Fast** ([`BackendKind::Native`], in [`super::native`]) — the same
-//!   walk with host-speed MMA microkernels on phases its static
-//!   shared-memory analysis proves race-free, and this module's serial
-//!   phase loop on every other phase.
+//! Interprets a [`PlannedKernel`] phase by phase in one walk, whatever
+//! the [`BackendKind`]: warps in warp order, ops in program order, then
+//! same-phase race detection. KAMI kernels exchange data between warps
+//! only across a barrier, so this walk *is* the semantics; every fault
+//! surfaces with the same error, panic message, and ordering as
+//! [`Engine::run`]. The backend selects only the body of each MMA once
+//! its legality checks have passed — the reference interpreter for
+//! [`BackendKind::Sim`], the host microkernel of [`super::native`] for
+//! [`BackendKind::Native`] — so both leave bit-identical state.
 //!
 //! The pass performs no tallying and consults no
 //! [`CostConfig`](crate::cost::CostConfig): cycles are the cost pass's
 //! business alone.
 
-use super::backend::{BackendKind, ExecOutcome};
+use super::backend::BackendKind;
 use super::PlannedKernel;
 use crate::cost::PhaseTally;
 use crate::engine::{detect_races, Engine};
@@ -30,49 +25,28 @@ use crate::memory::shared::SharedMemory;
 
 impl<'a> Engine<'a> {
     /// Execute pass: run the planned kernel's numerics against `gmem`
-    /// on the selected backend. Every backend leaves the state
-    /// [`Engine::run`] leaves behind (fragment values, shared/global
+    /// with the selected backend's MMA body. Every backend leaves the
+    /// state [`Engine::run`] leaves behind (fragment values, shared/global
     /// memory contents, global traffic counters) on every kernel that
-    /// runs to completion; the returned [`ExecOutcome`] reports which
-    /// paths the phases took.
+    /// runs to completion, and fails with its error on every other.
     pub fn execute_with(
         &self,
         backend: BackendKind,
         plan: &PlannedKernel<'_>,
         gmem: &mut GlobalMemory,
-    ) -> Result<ExecOutcome, SimError> {
-        let fast_phases = match backend {
-            BackendKind::Sim => {
-                self.execute_reference(plan, gmem)?;
-                0
-            }
-            BackendKind::Native => super::native::execute_native(self, plan, gmem)?,
-        };
-        Ok(ExecOutcome {
-            backend,
-            phases: plan.phases,
-            fast_phases,
-            fallback_phases: plan.phases - fast_phases,
-        })
-    }
-
-    /// The reference executor: every phase through the serial loop.
-    fn execute_reference(
-        &self,
-        plan: &PlannedKernel<'_>,
-        gmem: &mut GlobalMemory,
     ) -> Result<(), SimError> {
         let (mut smem, mut frags) = self.kernel_state(plan.kernel);
         for phase in 0..plan.phases {
-            self.run_phase_serial(plan, phase, gmem, &mut smem, &mut frags)?;
+            self.run_phase(backend, plan, phase, gmem, &mut smem, &mut frags)?;
         }
         Ok(())
     }
 
-    /// Legacy-identical interleaved interpretation of one phase: warps
-    /// in order, ops in program order, with same-phase race detection.
-    pub(crate) fn run_phase_serial(
+    /// One phase of the interleaved interpretation: warps in order, ops
+    /// in program order, with same-phase race detection.
+    fn run_phase(
         &self,
+        backend: BackendKind,
         plan: &PlannedKernel<'_>,
         phase: usize,
         gmem: &mut GlobalMemory,
@@ -87,6 +61,7 @@ impl<'a> Engine<'a> {
             let prog = &plan.kernel.warps[w];
             for op in plan.ops(w, phase) {
                 self.exec_op(
+                    backend,
                     w,
                     prog,
                     op,
@@ -111,26 +86,49 @@ mod tests {
     use crate::error::SimError;
     use crate::matrix::Matrix;
     use crate::memory::global::{BufferId, GlobalMemory};
-    use crate::passes::{BackendKind, ExecOutcome, RunOptions};
+    use crate::passes::{BackendKind, RunOptions};
     use crate::precision::Precision;
     use crate::program::BlockKernel;
 
-    /// Run `k` through the legacy interleaved engine and through
-    /// [`Engine::run_kernel`] on every backend, each against a fresh
-    /// memory built by `build`. On success the buffers, traffic
-    /// counters, serde report and serde trace must be identical; on
-    /// failure the `Debug` errors must be. Returns the legacy result
-    /// and each backend's outcome, in [`BackendKind::ALL`] order.
+    fn assert_gmem_identical(what: &str, want: &GlobalMemory, got: &GlobalMemory) {
+        assert_eq!(want.bytes_read(), got.bytes_read(), "{what}");
+        assert_eq!(want.bytes_written(), got.bytes_written(), "{what}");
+        for i in 0..want.buffer_count() {
+            let id = BufferId(i);
+            assert_eq!(
+                want.download(id).max_abs_diff(&got.download(id)),
+                0.0,
+                "{what}: buffer '{}' diverges",
+                want.name(id)
+            );
+        }
+    }
+
+    /// Run `k` through the legacy interleaved engine, through the cost
+    /// pass alone, through [`Engine::run_kernel`] on every backend, and
+    /// through the execute pass alone ([`Engine::plan`] →
+    /// [`Engine::execute_with`]) on every backend, each against a fresh
+    /// memory built by `build`. On success the buffers and traffic
+    /// counters must be identical, and so must the serde reports and
+    /// `run_kernel`'s trace; on failure the `Debug` errors must be.
+    /// Returns the legacy result.
     fn check_every_backend(
         k: &BlockKernel,
         build: impl Fn(&mut GlobalMemory),
-    ) -> (Result<(), SimError>, Vec<Option<ExecOutcome>>) {
+    ) -> Result<(), SimError> {
         let dev = gh200();
         let eng = Engine::new(&dev);
         let mut g_legacy = GlobalMemory::new();
         build(&mut g_legacy);
         let legacy = eng.run_traced(k, &mut g_legacy);
-        let mut outcomes = Vec::new();
+        let mut g = GlobalMemory::new();
+        build(&mut g);
+        let cost = eng.plan(k).and_then(|plan| eng.cost(&plan, &g.layout()));
+        assert_eq!(
+            format!("{:?}", legacy.as_ref().map(|(rep, _)| rep)),
+            format!("{:?}", cost.as_ref()),
+            "cost pass"
+        );
         for kind in BackendKind::ALL {
             let mut g = GlobalMemory::new();
             build(&mut g);
@@ -148,22 +146,10 @@ mod tests {
                         serde_json::to_string(&arts.trace.unwrap()).unwrap(),
                         "{kind}: trace diverges"
                     );
-                    assert_eq!(g_legacy.bytes_read(), g.bytes_read(), "{kind}");
-                    assert_eq!(g_legacy.bytes_written(), g.bytes_written(), "{kind}");
-                    for i in 0..g_legacy.buffer_count() {
-                        let id = BufferId(i);
-                        assert_eq!(
-                            g_legacy.download(id).max_abs_diff(&g.download(id)),
-                            0.0,
-                            "{kind}: buffer '{}' diverges",
-                            g_legacy.name(id)
-                        );
-                    }
-                    outcomes.push(Some(arts.exec));
+                    assert_gmem_identical(&format!("{kind}"), &g_legacy, &g);
                 }
                 (Err(legacy_err), Err(err)) => {
                     assert_eq!(format!("{legacy_err:?}"), format!("{err:?}"), "{kind}");
-                    outcomes.push(None);
                 }
                 (legacy, split) => panic!(
                     "{kind}: legacy {:?} vs split {:?}",
@@ -171,14 +157,34 @@ mod tests {
                     split.map(|_| ())
                 ),
             }
+
+            let mut g = GlobalMemory::new();
+            build(&mut g);
+            let exec = eng
+                .plan(k)
+                .and_then(|plan| eng.execute_with(kind, &plan, &mut g));
+            match (&legacy, exec) {
+                (Ok(_), Ok(())) => assert_gmem_identical(&format!("{kind} execute"), &g_legacy, &g),
+                (Err(legacy_err), Err(err)) => {
+                    assert_eq!(
+                        format!("{legacy_err:?}"),
+                        format!("{err:?}"),
+                        "{kind} execute"
+                    );
+                }
+                (legacy, exec) => panic!(
+                    "{kind} execute: legacy {:?} vs {exec:?}",
+                    legacy.as_ref().map(|_| ())
+                ),
+            }
         }
-        (legacy.map(|_| ()), outcomes)
+        legacy.map(|_| ())
     }
 
     #[test]
-    fn fast_path_matches_legacy_gemm() {
+    fn gemm_matches_legacy_through_every_backend() {
         // All four warps load the same A/B windows (read-only sharing is
-        // conflict-free); disjoint smem staging; warp 0 alone stores C.
+        // race-free); disjoint smem staging; warp 0 alone stores C.
         let n = 8;
         let k = BlockKernel::spmd(4, |i, w| {
             let fa = w.frag("A", n, n, Precision::Fp64);
@@ -195,14 +201,12 @@ mod tests {
                 w.global_store(fc, BufferId(2), 0, 0);
             }
         });
-        let (legacy, outcomes) = check_every_backend(&k, |g| {
+        check_every_backend(&k, |g| {
             g.upload("A", &Matrix::seeded_uniform(n, n, 1), Precision::Fp64);
             g.upload("B", &Matrix::seeded_uniform(n, n, 2), Precision::Fp64);
             g.alloc_zeroed("C", n, n, Precision::Fp64);
-        });
-        legacy.unwrap();
-        let native = outcomes[1].unwrap();
-        assert_eq!(native.fast_phases, native.phases);
+        })
+        .unwrap();
     }
 
     #[test]
@@ -218,28 +222,22 @@ mod tests {
             w.global_load(fa, BufferId(0), i * 2, 0);
             w.global_accumulate(fa, BufferId(1), i * 2, 0);
         });
-        let (legacy, _) = check_every_backend(&k, build);
-        legacy.unwrap();
+        check_every_backend(&k, build).unwrap();
 
         // Both warps accumulate into the same C window in one phase,
-        // the cross-layer aggregation of KAMI-3D: warp order settles
-        // it, so Native keeps the phase on its lean loop.
+        // the cross-layer aggregation of KAMI-3D: warp order settles it.
         let k = BlockKernel::spmd(2, |i, w| {
             let fa = w.frag("a", 2, 4, Precision::Fp16);
             w.global_load(fa, BufferId(0), i * 2, 0);
             w.global_accumulate(fa, BufferId(1), 0, 0);
         });
-        let (legacy, outcomes) = check_every_backend(&k, build);
-        legacy.unwrap();
-        let native = outcomes[1].unwrap();
-        assert_eq!(native.fast_phases, native.phases);
+        check_every_backend(&k, build).unwrap();
     }
 
     #[test]
-    fn same_phase_gmem_rmw_runs_lean_and_matches() {
+    fn same_phase_gmem_rmw_matches_legacy() {
         // Warp 0 stores then reloads the same C window inside one phase:
-        // global ops run in warp and program order on both loops, so
-        // Native keeps the phase lean and must still match.
+        // global ops run in warp and program order, which settles it.
         let k = BlockKernel::spmd(2, |i, w| {
             let f = w.frag("x", 2, 2, Precision::Fp64);
             w.global_load(f, BufferId(0), 0, 0);
@@ -248,18 +246,16 @@ mod tests {
                 w.global_load(f, BufferId(1), 0, 0);
             }
         });
-        let (legacy, outcomes) = check_every_backend(&k, |g| {
+        check_every_backend(&k, |g| {
             g.upload("A", &Matrix::seeded_uniform(2, 2, 3), Precision::Fp64);
             g.alloc_zeroed("C", 2, 2, Precision::Fp64);
-        });
-        legacy.unwrap();
-        let native = outcomes[1].unwrap();
-        assert_eq!(native.fast_phases, native.phases);
+        })
+        .unwrap();
     }
 
     #[test]
-    fn conflict_free_phase_reports_lowest_warp_error_like_legacy() {
-        // Disjoint smem addresses (conflict-free), but warps 1 and 2 both
+    fn disjoint_smem_phase_reports_lowest_warp_error_like_legacy() {
+        // Disjoint smem addresses (race-free), but warps 1 and 2 both
         // store uninitialized fragments; legacy reaches warp 1 first.
         let k = BlockKernel::spmd(3, |i, w| {
             let f = w.frag("x", 1, 1, Precision::Fp32);
@@ -268,7 +264,7 @@ mod tests {
             }
             w.shared_store(f, i * 64);
         });
-        let (legacy, _) = check_every_backend(&k, |_| {});
+        let legacy = check_every_backend(&k, |_| {});
         assert!(matches!(
             legacy,
             Err(SimError::UninitializedFragment { warp: 1, .. })
@@ -286,7 +282,35 @@ mod tests {
                 w.shared_load(f, 0);
             }
         });
-        let (legacy, _) = check_every_backend(&k, |_| {});
+        let legacy = check_every_backend(&k, |_| {});
         assert!(matches!(legacy, Err(SimError::SharedMemoryHazard { .. })));
+    }
+
+    #[test]
+    fn out_of_range_metadata_errors_identically_through_every_backend() {
+        let cap = gh200().smem_capacity;
+        // A read past the end faults in the reading warp.
+        let k = BlockKernel::spmd(2, |i, w| w.meta_load(cap - 8 + i * 4, 8));
+        let legacy = check_every_backend(&k, |_| {});
+        assert!(
+            matches!(legacy, Err(SimError::SharedMemoryFault { warp: 1, .. })),
+            "{legacy:?}"
+        );
+        // An end that overflows `usize` is out of range too.
+        let k = BlockKernel::spmd(1, |_, w| w.meta_load(usize::MAX, 2));
+        let legacy = check_every_backend(&k, |_| {});
+        assert!(
+            matches!(legacy, Err(SimError::SharedMemoryFault { warp: 0, .. })),
+            "{legacy:?}"
+        );
+        let k = BlockKernel::spmd(1, |_, w| w.meta_store(usize::MAX, 2));
+        let legacy = check_every_backend(&k, |_| {});
+        assert!(
+            matches!(legacy, Err(SimError::SharedMemoryOverflow { .. })),
+            "{legacy:?}"
+        );
+        // The last in-range bytes are fine.
+        let k = BlockKernel::spmd(1, |_, w| w.meta_load(cap - 8, 8));
+        check_every_backend(&k, |_| {}).unwrap();
     }
 }

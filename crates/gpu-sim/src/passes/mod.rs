@@ -9,9 +9,10 @@
 //!    the legacy engine's [`ExecutionReport`] and [`Trace`] exactly,
 //!    including every simulation fault, without touching matrix data.
 //! 3. **execute** ([`Engine::execute_with`], in [`exec`]) — numerics
-//!    only, on the [`BackendKind`] selected: the serial reference
-//!    executor ([`BackendKind::Sim`]) or the host-speed [`native`]
-//!    microkernels ([`BackendKind::Native`]), both bit-identical to the
+//!    only, one walk over the phases with race detection after each.
+//!    The [`BackendKind`] selects only the MMA body: the reference
+//!    interpreter ([`BackendKind::Sim`]) or the host-speed [`native`]
+//!    microkernel ([`BackendKind::Native`]), both bit-identical to the
 //!    legacy engine including accumulation order.
 //!
 //! [`Engine::run_kernel`] chains the three under a [`RunOptions`]
@@ -24,7 +25,7 @@ pub mod cost;
 pub mod exec;
 pub mod native;
 
-pub use backend::{BackendKind, ExecOutcome};
+pub use backend::BackendKind;
 
 use crate::cost::CostConfig;
 use crate::engine::Engine;
@@ -146,12 +147,8 @@ impl<'a> Engine<'a> {
         } else {
             (eng.cost(&plan, &layout)?, None)
         };
-        let exec = eng.execute_with(opts.backend, &plan, gmem)?;
-        Ok(RunArtifacts {
-            report,
-            trace,
-            exec,
-        })
+        eng.execute_with(opts.backend, &plan, gmem)?;
+        Ok(RunArtifacts { report, trace })
     }
 }
 
@@ -194,8 +191,6 @@ pub struct RunArtifacts {
     pub report: ExecutionReport,
     /// The cost pass's timeline, when [`RunOptions::traced`] was set.
     pub trace: Option<Trace>,
-    /// Which backend executed and how its phases split.
-    pub exec: ExecOutcome,
 }
 
 #[cfg(test)]

@@ -1,257 +1,63 @@
-//! Native execution backend: the fast executor behind
-//! [`BackendKind::Native`](super::BackendKind::Native).
+//! Native MMA body: what [`BackendKind::Native`](super::BackendKind::Native)
+//! changes about the execute pass.
 //!
-//! The simulator's MMA interpreter pays, per accumulation step, two
-//! precision round-trips on the inputs (for fp16/bf16 that is a
+//! Both backends walk every phase through the same loop (warps in warp
+//! order, ops in program order, then race detection) and run every op
+//! through the same `Engine::exec_op`, legality checks included. The
+//! backend picks only the body of an MMA once its checks have passed:
+//! the reference slice extraction plus
+//! [`mma_fragment`](crate::tensor_core::mma_fragment) for `Sim`, or
+//! `mma` here for `Native`.
+//!
+//! The reference body pays, per accumulation step, two precision
+//! round-trips on the inputs (for fp16/bf16 that is a
 //! `f64 → half → f64` conversion each) plus per-op slice allocations.
 //! None of that changes the bits: fragment data is invariantly
 //! quantized at its declared precision (every write narrows — see
 //! [`FragValue::store`]), and every [`Precision::round`] is idempotent,
-//! so re-rounding already-quantized inputs is a no-op. The native
-//! backend exploits exactly that: its microkernels read inputs as-is
-//! and keep only the roundings that matter — one per accumulation step
-//! at the accumulator precision, and one per element at the fragment's
-//! storage precision after each MMA — the same places the simulator
-//! rounds. FP64 steps are `f64::mul_add`; FP32-accumulated steps are
-//! `(a * b + c) as f32 as f64`, whose product is exact in f64 because
-//! the quantized inputs carry at most 24 significand bits (see
+//! so re-rounding already-quantized inputs is a no-op. The microkernel
+//! exploits exactly that: it reads inputs in place and keeps only the
+//! rounding that matters — one per accumulation step at the accumulator
+//! precision, the same place the reference rounds (the per-element
+//! narrowing to the fragment's storage precision after the MMA is
+//! shared code). FP64 steps are `f64::mul_add`; FP32-accumulated steps
+//! are `(a * b + c) as f32 as f64`, whose product is exact in f64
+//! because the quantized inputs carry at most 24 significand bits (see
 //! `fma_step`), so the single rounding equals `mul_add`'s.
-//!
-//! Phase order is the reference executor's: warps serially in warp
-//! order, ops in program order — the same order the interleaved oracle
-//! walks. The only hazards that order does not settle are same-phase
-//! cross-warp shared-memory overlaps, which race detection rejects.
-//! Phases in which the static conflict analysis
-//! (`phase_is_conflict_free`) finds one fall back to the serial
-//! reference loop, so races and their error ordering reproduce exactly. Global ops run
-//! through the simulator's own `exec_op` on both loops, so global
-//! faults and panics need no analysis.
 //!
 //! The inner loops are written to autovectorize: for each `(i, l)` the
 //! column sweep is a chain-free multiply-add over independent
 //! accumulators, unrolled by four. Unrolling reorders nothing — each
 //! `(i, j)` chain still sees its `l`-steps in increasing order.
 
-use super::PlannedKernel;
-use crate::cost::PhaseTally;
-use crate::engine::{frag_decl, overlap, require_init, Engine};
-use crate::error::SimError;
+use crate::engine::k_slice;
 use crate::fragment::FragValue;
-use crate::memory::global::GlobalMemory;
-use crate::memory::shared::SharedMemory;
 use crate::precision::Precision;
-use crate::program::{Op, WarpProgram};
-use crate::tensor_core::shape_for;
 
-/// Run the planned kernel's numerics on the native backend; returns how
-/// many phases took the lean loop (the rest fell back to the serial
-/// reference loop).
-pub(crate) fn execute_native(
-    engine: &Engine<'_>,
-    plan: &PlannedKernel<'_>,
-    gmem: &mut GlobalMemory,
-) -> Result<usize, SimError> {
-    let (mut smem, mut frags) = engine.kernel_state(plan.kernel);
-    let mut fast_phases = 0usize;
-    for phase in 0..plan.phases {
-        if phase_is_conflict_free(plan, phase) {
-            run_phase_native(engine, plan, phase, gmem, &mut smem, &mut frags)?;
-            fast_phases += 1;
-        } else {
-            engine.run_phase_serial(plan, phase, gmem, &mut smem, &mut frags)?;
-        }
-    }
-    Ok(fast_phases)
-}
-
-/// Static analysis of one phase: `true` when no two warps touch
-/// overlapping shared-memory bytes, so the lean loop (which skips race
-/// bookkeeping) reproduces the reference executor's state exactly.
-/// Cross-warp overlap of any kind, or a shared op naming an
-/// out-of-range fragment, routes the phase to the serial fallback,
-/// which raises the same hazard or error. Global ops need no check: the
-/// lean loop runs them through the same `exec_op`, in the same warp and
-/// program order, so same-window accumulates, read-after-write and
-/// out-of-bounds panics behave identically on both loops. Op addresses
-/// are static literals, so the static verdict equals runtime behavior.
-fn phase_is_conflict_free(plan: &PlannedKernel<'_>, phase: usize) -> bool {
-    let p = plan.warps;
-    let mut smem_w: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
-    let mut smem_r: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
-
-    for w in 0..p {
-        let prog = &plan.kernel.warps[w];
-        for op in plan.ops(w, phase) {
-            match *op {
-                Op::SharedStore { src, addr } => match prog.frags.get(src) {
-                    Some(d) => smem_w[w].push((addr, d.elems() * d.precision.size_bytes())),
-                    None => return false,
-                },
-                Op::SharedLoad { dst, addr } => match prog.frags.get(dst) {
-                    Some(d) => smem_r[w].push((addr, d.elems() * d.precision.size_bytes())),
-                    None => return false,
-                },
-                Op::MetaStore { addr, bytes } => smem_w[w].push((addr, bytes)),
-                Op::MetaLoad { addr, bytes } => smem_r[w].push((addr, bytes)),
-                _ => {}
-            }
-        }
-    }
-
-    // Cross-warp shared-memory overlap of any kind (write/read,
-    // write/write — the same pairs race detection rejects).
-    for w1 in 0..p {
-        for w2 in (w1 + 1)..p {
-            for &a in &smem_w[w1] {
-                if smem_w[w2]
-                    .iter()
-                    .chain(smem_r[w2].iter())
-                    .any(|&b| overlap(a, b))
-                {
-                    return false;
-                }
-            }
-            for &a in &smem_r[w1] {
-                if smem_w[w2].iter().any(|&b| overlap(a, b)) {
-                    return false;
-                }
-            }
-        }
-    }
-
-    true
-}
-
-/// One statically race-free phase in warp-settle order. MMAs go through
-/// the native microkernels; every other op runs the simulator's own
-/// handler, so checks, error messages, and traffic counters are shared
-/// code, not reimplementations. Race vectors stay unused — the static
-/// analysis already proved this phase free of the hazards
-/// [`detect_races`](crate::engine::detect_races) would flag.
-fn run_phase_native(
-    engine: &Engine<'_>,
-    plan: &PlannedKernel<'_>,
-    phase: usize,
-    gmem: &mut GlobalMemory,
-    smem: &mut SharedMemory,
-    frags: &mut [Vec<FragValue>],
-) -> Result<(), SimError> {
-    let mut tally = PhaseTally::default();
-    let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
-    let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
-    let mut flops_scratch = 0u64;
-    for (w, warp_frags) in frags.iter_mut().enumerate() {
-        let prog = &plan.kernel.warps[w];
-        for op in plan.ops(w, phase) {
-            match *op {
-                Op::Mma {
-                    d,
-                    a,
-                    b,
-                    a_cols,
-                    b_rows,
-                } => {
-                    require_init(warp_frags, a, w, prog)?;
-                    require_init(warp_frags, b, w, prog)?;
-                    require_init(warp_frags, d, w, prog)?;
-                    native_mma(engine, prog, d, a, b, a_cols, b_rows, warp_frags)?;
-                }
-                _ => engine.exec_op(
-                    w,
-                    prog,
-                    op,
-                    gmem,
-                    smem,
-                    warp_frags,
-                    &mut tally,
-                    &mut writes,
-                    &mut reads,
-                    &mut flops_scratch,
-                )?,
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Native fragment MMA: the same legality checks as
-/// [`Engine::exec_mma`], in the same order and with the same messages,
-/// then a strided zero-copy microkernel instead of slice extraction and
-/// per-step input re-rounding.
+/// `frags[d] += frags[a][:, ac0..ac0 + k] · frags[b][br0..br0 + k, :]`
+/// at accumulator precision `acc`, reading the operands in place
+/// through their strides. The caller has checked every shape. Operands
+/// aliased with D (D doubling as A or B) are copied out first, as the
+/// reference body does, since D is taken out of the slice while the
+/// microkernel writes it.
 #[allow(clippy::too_many_arguments)]
-fn native_mma(
-    engine: &Engine<'_>,
-    prog: &WarpProgram,
+pub(crate) fn mma(
+    acc: Precision,
+    m: usize,
+    n: usize,
+    k: usize,
+    frags: &mut [FragValue],
     d: usize,
     a: usize,
+    a_stride: usize,
+    ac0: usize,
     b: usize,
-    a_cols: Option<(usize, usize)>,
-    b_rows: Option<(usize, usize)>,
-    warp_frags: &mut [FragValue],
-) -> Result<(), SimError> {
-    let (ad, bd, dd) = (
-        frag_decl(prog, a)?.clone(),
-        frag_decl(prog, b)?.clone(),
-        frag_decl(prog, d)?.clone(),
-    );
-    if ad.precision != bd.precision {
-        return Err(SimError::ShapeMismatch {
-            detail: format!("A is {:?} but B is {:?}", ad.precision, bd.precision),
-        });
-    }
-    let (ac0, ak) = a_cols.unwrap_or((0, ad.cols));
-    let (br0, bk) = b_rows.unwrap_or((0, bd.rows));
-    if ac0 + ak > ad.cols || br0 + bk > bd.rows {
-        return Err(SimError::BadOperand {
-            detail: format!(
-                "k-slice out of bounds: a[:, {ac0}..{}] of {} cols, b[{br0}..{}, :] of {} rows",
-                ac0 + ak,
-                ad.cols,
-                br0 + bk,
-                bd.rows
-            ),
-        });
-    }
-    if ak != bk {
-        return Err(SimError::ShapeMismatch {
-            detail: format!("k extents differ: {ak} vs {bk}"),
-        });
-    }
-    if dd.rows != ad.rows || dd.cols != bd.cols {
-        return Err(SimError::ShapeMismatch {
-            detail: format!(
-                "C is {}x{} but A·B is {}x{}",
-                dd.rows, dd.cols, ad.rows, bd.cols
-            ),
-        });
-    }
-    shape_for(engine.device, ad.precision).ok_or_else(|| SimError::UnsupportedPrecision {
-        device: engine.device.name.to_string(),
-        precision: ad.precision.label().to_string(),
-    })?;
-
-    let (m, n, k) = (ad.rows, bd.cols, ak);
-    let acc = ad.precision.accumulator();
-    // All checks passed; take D out so A and B can be borrowed directly.
-    // Aliased operands (D doubling as A or B) would see an empty buffer,
-    // so they go through copied slices like the simulator.
+    b_stride: usize,
+    br0: usize,
+) {
     if d == a || d == b {
-        let a_slice: Vec<f64> = {
-            let src = &warp_frags[a].data;
-            let mut v = Vec::with_capacity(m * k);
-            for r in 0..m {
-                v.extend_from_slice(&src[r * ad.cols + ac0..r * ad.cols + ac0 + ak]);
-            }
-            v
-        };
-        let b_slice: Vec<f64> = {
-            let src = &warp_frags[b].data;
-            let mut v = Vec::with_capacity(k * n);
-            for r in 0..k {
-                v.extend_from_slice(&src[(br0 + r) * bd.cols..(br0 + r) * bd.cols + n]);
-            }
-            v
-        };
+        let a_slice = k_slice(&frags[a].data, a_stride, ac0, m, k);
+        let b_slice = k_slice(&frags[b].data, b_stride, br0 * b_stride, k, n);
         microkernel(
             acc,
             m,
@@ -263,34 +69,25 @@ fn native_mma(
             &b_slice,
             n,
             0,
-            &mut warp_frags[d].data,
+            &mut frags[d].data,
         );
     } else {
-        let mut d_data = std::mem::take(&mut warp_frags[d].data);
+        let mut d_data = std::mem::take(&mut frags[d].data);
         microkernel(
             acc,
             m,
             n,
             k,
-            &warp_frags[a].data,
-            ad.cols,
+            &frags[a].data,
+            a_stride,
             ac0,
-            &warp_frags[b].data,
-            bd.cols,
+            &frags[b].data,
+            b_stride,
             br0,
             &mut d_data,
         );
-        warp_frags[d].data = d_data;
+        frags[d].data = d_data;
     }
-    // The accumulator fragment holds values at its own precision — the
-    // simulator's post-MMA narrowing, kept verbatim.
-    let dp = dd.precision;
-    if dp != Precision::Fp64 {
-        for x in warp_frags[d].data.iter_mut() {
-            *x = dp.round(*x);
-        }
-    }
-    Ok(())
 }
 
 /// Dispatch on the accumulator precision. FP64 inputs accumulate at
@@ -380,10 +177,12 @@ fn mma_rows<const ROUND32: bool>(
 mod tests {
     use super::*;
     use crate::device::gh200;
+    use crate::engine::Engine;
+    use crate::error::SimError;
     use crate::matrix::Matrix;
-    use crate::memory::global::BufferId;
-    use crate::passes::{BackendKind, ExecOutcome};
-    use crate::program::BlockKernel;
+    use crate::memory::global::{BufferId, GlobalMemory};
+    use crate::passes::BackendKind;
+    use crate::program::{BlockKernel, Op};
 
     /// Every `Precision::round` must be idempotent: the microkernels
     /// skip input re-rounding on that invariant.
@@ -466,8 +265,8 @@ mod tests {
         k: &BlockKernel,
         build: impl Fn(&mut GlobalMemory),
     ) -> (
-        Result<ExecOutcome, SimError>,
-        Result<ExecOutcome, SimError>,
+        Result<(), SimError>,
+        Result<(), SimError>,
         GlobalMemory,
         GlobalMemory,
     ) {
@@ -531,11 +330,8 @@ mod tests {
                 g.upload("B", &Matrix::seeded_uniform(n, n, 2), prec);
                 g.alloc_zeroed("C", n, n, prec);
             });
-            let sim = sim.unwrap();
-            let nat = nat.unwrap();
-            assert_eq!(sim.backend, BackendKind::Sim);
-            assert_eq!(nat.backend, BackendKind::Native);
-            assert_eq!(nat.fallback_phases, 0, "{prec:?}: safe phases fell back");
+            sim.unwrap();
+            nat.unwrap();
             assert_state_identical(&g_sim, &g_nat);
         }
     }
@@ -574,9 +370,9 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_phase_falls_back_and_errors_identically() {
-        // Cross-warp smem overlap: both backends must fall back to the
-        // serial loop and surface the identical hazard.
+    fn smem_race_errors_identically_on_both_backends() {
+        // Cross-warp smem overlap: both backends must surface the
+        // identical hazard.
         let k = BlockKernel::spmd(2, |i, w| {
             let f = w.frag("x", 1, 1, Precision::Fp32);
             w.zero_acc(f);
@@ -629,10 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn native_single_warp_safe_phase_skips_fallback() {
-        // The reference executor never takes a fast path; the native
-        // lean loop takes every conflict-free phase, single-warp ones
-        // included, and must still match.
+    fn native_matches_sim_on_single_and_multi_warp_phases() {
         let n = 8;
         let k = BlockKernel::spmd(1, |_, w| {
             let fa = w.frag("A", n, n, Precision::Fp32);
@@ -650,11 +443,11 @@ mod tests {
             g.alloc_zeroed("C", n, n, Precision::Fp32);
         };
         let (sim, nat, g_sim, g_nat) = both_backends(&k, build);
-        assert_eq!(sim.unwrap().fast_phases, 0);
-        assert_eq!(nat.unwrap().fast_phases, 1);
+        sim.unwrap();
+        nat.unwrap();
         assert_state_identical(&g_sim, &g_nat);
 
-        // Multi-warp and conflict-free in both phases: disjoint smem
+        // Multi-warp and race-free in both phases: disjoint smem
         // staging, shared read-only A/B windows, one writer of C.
         let k = BlockKernel::spmd(4, |i, w| {
             let fa = w.frag("A", n, n, Precision::Fp32);
@@ -672,10 +465,44 @@ mod tests {
             }
         });
         let (sim, nat, g_sim, g_nat) = both_backends(&k, build);
-        let (sim, nat) = (sim.unwrap(), nat.unwrap());
-        assert_eq!(sim.phases, 2);
-        assert_eq!(sim.fast_phases, 0);
-        assert_eq!(nat.fast_phases, nat.phases);
+        sim.unwrap();
+        nat.unwrap();
+        assert_state_identical(&g_sim, &g_nat);
+    }
+
+    #[test]
+    fn native_microkernel_runs_on_a_racing_phase() {
+        // The race is only detected once the phase has run, so the MMA
+        // (through Native's microkernel) and the global stores before it
+        // land on both backends and must leave identical state.
+        let n = 8;
+        let k = BlockKernel::spmd(2, |i, w| {
+            let fa = w.frag("A", n, n, Precision::Fp16);
+            let fb = w.frag("B", n, n, Precision::Fp16);
+            let fc = w.frag("C", n, n, Precision::Fp32);
+            w.global_load(fa, BufferId(0), 0, 0);
+            w.global_load(fb, BufferId(1), 0, 0);
+            w.zero_acc(fc);
+            w.mma(fc, fa, fb);
+            w.global_store(fc, BufferId(2), i * n, 0);
+            if i == 0 {
+                w.shared_store(fc, 0);
+            } else {
+                w.shared_load(fc, 0);
+            }
+        });
+        let (sim, nat, g_sim, g_nat) = both_backends(&k, |g| {
+            g.upload("A", &Matrix::seeded_uniform(n, n, 11), Precision::Fp16);
+            g.upload("B", &Matrix::seeded_uniform(n, n, 12), Precision::Fp16);
+            g.alloc_zeroed("C", 2 * n, n, Precision::Fp32);
+        });
+        assert!(matches!(sim, Err(SimError::SharedMemoryHazard { .. })));
+        assert_eq!(sim, nat);
+        let c = g_sim.download(BufferId(2));
+        assert!(
+            (0..2 * n).all(|r| (0..n).any(|col| c.get(r, col) != 0.0)),
+            "both warps' products must have landed before the hazard"
+        );
         assert_state_identical(&g_sim, &g_nat);
     }
 }
