@@ -15,6 +15,8 @@
 //! | [`magma`] | MAGMA v2.9 | small-size-aware tiles, global streaming, CUDA-core rate |
 //! | [`syclbench`] | SYCL-Bench | naive local-memory GEMM with C round-trips |
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod cublas;
 pub mod cublasdx;

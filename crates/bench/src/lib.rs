@@ -5,6 +5,8 @@
 //! index. Each `src/bin/figNN_*.rs` binary prints one figure's data;
 //! `all_experiments` runs the lot and emits machine-readable JSON.
 
+#![forbid(unsafe_code)]
+
 pub mod runners;
 pub mod select;
 pub mod series;

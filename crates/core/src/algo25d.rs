@@ -18,10 +18,10 @@
 //!   `crossover` analysis binary sweeps exactly this trade-off.
 
 use crate::error::KamiError;
-use crate::gemm::{c_precision, GemmResult};
+use crate::gemm::{product_dims, stage, CStore, GemmResult};
 use crate::layout::{tile_bytes, SmemMap};
 use crate::model::cycles::ModelParams;
-use kami_gpu_sim::{BlockKernel, BufferId, DeviceSpec, Engine, GlobalMemory, Matrix, Precision};
+use kami_gpu_sim::{BlockKernel, BufferId, DeviceSpec, Engine, Matrix, Precision, RunOptions};
 
 /// Configuration of a 2.5D block GEMM: a `q×q` grid replicated over `c`
 /// layers (`p = c·q²` warps).
@@ -183,34 +183,21 @@ pub fn gemm_25d(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb {
-        return Err(KamiError::ShapeMismatch {
-            detail: format!("A is {m}x{k} but B is {kb}x{n}"),
-        });
-    }
+    let (m, n, k) = product_dims(a, b)?;
     cfg.validate(device, m, n, k)?;
-    let prec = cfg.precision;
-    let c_prec = c_precision(prec);
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("A", a, prec);
-    let bb = gmem.upload("B", b, prec);
-    let cb = gmem.alloc_zeroed("C", m, n, c_prec);
-    let kernel = build_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
+    let mut s = stage(
+        cfg.precision,
+        a,
+        b,
+        CStore::Plain,
+        false,
+        |ab, bb, cb, c_prec| build_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
+    )?;
+    let opts = RunOptions::default().with_backend(cfg.backend);
     let report = Engine::with_cost(device, cfg.cost.clone())
-        .run_kernel(
-            &kernel,
-            &mut gmem,
-            &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
-        )?
+        .run_kernel(&s.kernel, &mut s.gmem, &opts)?
         .report;
-    Ok(GemmResult {
-        c: gmem.download(cb),
-        report,
-        smem_fraction: 0.0,
-        useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
-    })
+    Ok(s.finish(report, 0.0))
 }
 
 /// Analytic total cycles of the 2.5D scheme, in the style of

@@ -15,7 +15,7 @@
 
 use crate::config::KamiConfig;
 use crate::error::KamiError;
-use crate::gemm::{exec_gemm_auto, exec_gemm_padded, GemmResult};
+use crate::gemm::{exec_auto, exec_gemm_padded, CStore, GemmResult};
 use kami_gpu_sim::{DeviceSpec, ExecutionReport, Matrix};
 use rayon::prelude::*;
 
@@ -105,7 +105,7 @@ pub(crate) fn exec_batched_gemm(
 
     let results: Vec<Result<GemmResult, KamiError>> = pairs
         .par_iter()
-        .map(|(a, b)| exec_gemm_auto(device, cfg, a, b))
+        .map(|(a, b)| exec_auto(device, cfg, a, b, CStore::Plain))
         .collect();
     let mut outputs = Vec::with_capacity(pairs.len());
     let mut first_report: Option<ExecutionReport> = None;
@@ -240,7 +240,7 @@ pub fn estimate_batched(
 ) -> Result<BatchedResult, KamiError> {
     let a = Matrix::seeded_uniform(m, k, 0xBA7C);
     let b = Matrix::seeded_uniform(k, n, 0xBA7D);
-    let one = exec_gemm_auto(device, cfg, &a, &b)?;
+    let one = exec_auto(device, cfg, &a, &b, CStore::Plain)?;
     let total_cycles = schedule_cycles(device, one.report.cycles, batch);
     Ok(BatchedResult {
         outputs: vec![one.c],

@@ -1,17 +1,31 @@
-//! Public block-level GEMM entry points.
+//! The block-GEMM driver: every dense KAMI kernel is staged, run and
+//! finished here.
 //!
-//! [`gemm`] runs one KAMI block kernel end to end on the simulator:
-//! upload → build the 1D/2D/3D kernel → execute → download, returning
-//! both the product and the cycle-accurate [`ExecutionReport`].
+//! `A·B`, `alpha·A·B + beta·C0` ([`gemm_scaled`]) and a fused
+//! [`Epilogue`] ([`gemm_fused`]) differ only in the kernel's C store,
+//! which a [`CStore`] names. One driver serves all three:
 //!
-//! [`gemm_auto`] additionally implements the paper's preset-ratio
-//! behaviour (§4.7/§5.2.5): if the requested configuration exceeds the
+//! 1. *stage* — upload A and B, declare C the way the store needs it
+//!    (the single C-initialisation decision: `beta = 0` never reads
+//!    `C0`), build the 1D/2D/3D kernel, and rewrite its trailing C
+//!    stores for the store with one walker;
+//! 2. *run* — [`Engine::run_kernel`] (the split plan → cost → execute
+//!    pipeline on `cfg.backend`), or [`Engine::run`] (the interleaved
+//!    oracle) through [`gemm_legacy`];
+//! 3. *finish* — download C into a [`GemmResult`].
+//!
+//! The cached-plan path ([`crate::gemm_execute_plan_with`]), 2.5D
+//! ([`crate::gemm_25d`]) and the low-rank column-split kernel
+//! ([`crate::lowrank_gemm_colsplit`]) reuse the same staging and
+//! finishing steps with their own kernel builders.
+//!
+//! [`gemm_auto`] wraps the driver in the paper's preset-ratio fallback
+//! (§4.7/§5.2.5): if the requested configuration exceeds the
 //! 255-registers-per-thread limit, it escalates `smem_fraction` through
-//! a ladder until the kernel fits, exactly like KAMI's fallback from
-//! registers to shared memory.
-//!
-//! [`gemm_padded`] accepts arbitrary dimensions by zero-padding to the
-//! partition grid and cropping the result.
+//! [`FALLBACK_FRACTIONS`] until the kernel fits, and routes tall-skinny
+//! shapes to the k-split path first. [`gemm_padded`] accepts arbitrary
+//! dimensions by zero-padding to the partition grid and cropping the
+//! result.
 
 use crate::algo1d;
 use crate::algo2d;
@@ -19,8 +33,10 @@ use crate::algo3d;
 use crate::config::{Algo, KamiConfig};
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
+use crate::tallskinny::{gemm_skinny, is_tall_skinny};
 use kami_gpu_sim::{
-    DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, RunOptions, SimError,
+    BlockKernel, BufferId, DeviceSpec, Engine, ExecutionReport, FragDecl, GlobalMemory, Matrix, Op,
+    Precision, RunOptions, SimError,
 };
 
 /// Output of one block GEMM.
@@ -52,13 +68,221 @@ pub fn c_precision(input: Precision) -> Precision {
     input
 }
 
-/// Which interpreter backs a GEMM run: the split plan→cost→execute
-/// pipeline (default) or the legacy interleaved engine kept as the
-/// differential oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EnginePath {
-    Split,
-    Legacy,
+/// What a block GEMM's C store writes — the one thing that differs
+/// between [`gemm`], [`gemm_scaled`] and [`gemm_fused`].
+#[derive(Debug, Clone, Copy)]
+pub enum CStore<'a> {
+    /// `C = A·B`.
+    Plain,
+    /// BLAS scaling: `C = alpha·A·B + beta·C0`.
+    Scaled {
+        alpha: f64,
+        beta: f64,
+        c0: &'a Matrix,
+    },
+    /// `C = epilogue(A·B)`, fused into the store phase.
+    Fused(&'a Epilogue),
+}
+
+impl CStore<'_> {
+    /// The one C-store walker: insert this store's register ops before
+    /// every store to `c_buf`, while the tile is still in registers (the
+    /// `model::epilogue` closed forms account exactly these ops).
+    ///
+    /// An accumulate store (a cross-layer reduction) takes only the
+    /// `alpha` scale — its `beta` term is already in C — and cannot
+    /// host an epilogue, since the function of a partial sum is not the
+    /// partial sum of the function. Row-wise softmax needs each stored
+    /// fragment to span full logical rows of C (true on 1D; false on 2D
+    /// with `q > 1`).
+    fn rewrite(
+        self,
+        kernel: &mut BlockKernel,
+        c_buf: BufferId,
+        bias_buf: Option<BufferId>,
+        n: usize,
+        c_prec: Precision,
+    ) -> Result<(), KamiError> {
+        if matches!(self, CStore::Plain) {
+            return Ok(());
+        }
+        for w in &mut kernel.warps {
+            let ops = std::mem::take(&mut w.ops);
+            let mut new_ops = Vec::with_capacity(ops.len() + 8);
+            for op in ops {
+                let Op::GlobalStore {
+                    src,
+                    buf,
+                    row0,
+                    col0,
+                    accumulate,
+                } = op
+                else {
+                    new_ops.push(op);
+                    continue;
+                };
+                if buf != c_buf {
+                    new_ops.push(op);
+                    continue;
+                }
+                let (rows, cols) = (w.frags[src].rows, w.frags[src].cols);
+                match self {
+                    CStore::Plain => {}
+                    CStore::Scaled { alpha, beta, .. } => {
+                        if alpha != 1.0 {
+                            new_ops.push(Op::Scale {
+                                frag: src,
+                                factor: alpha,
+                            });
+                        }
+                        if !accumulate && beta != 0.0 {
+                            // Blend with the previous C window in registers.
+                            w.frags.push(FragDecl::new("CPrev", rows, cols, c_prec));
+                            let prev = w.frags.len() - 1;
+                            new_ops.push(Op::GlobalLoad {
+                                dst: prev,
+                                buf,
+                                row0,
+                                col0,
+                            });
+                            if beta != 1.0 {
+                                new_ops.push(Op::Scale {
+                                    frag: prev,
+                                    factor: beta,
+                                });
+                            }
+                            new_ops.push(Op::AddAssign {
+                                dst: src,
+                                src: prev,
+                            });
+                        }
+                    }
+                    CStore::Fused(epilogue) => {
+                        if accumulate {
+                            return Err(KamiError::Unsupported {
+                                detail: format!(
+                                    "{} epilogue cannot fuse into an accumulate store \
+                                     (3D cross-layer reduction)",
+                                    epilogue.label()
+                                ),
+                            });
+                        }
+                        if let Some(bias_buf) = bias_buf {
+                            // Load the bias columns under this warp's C
+                            // tile and broadcast-add them in registers.
+                            w.frags.push(FragDecl::new("BiasRow", 1, cols, c_prec));
+                            let bias_frag = w.frags.len() - 1;
+                            new_ops.push(Op::GlobalLoad {
+                                dst: bias_frag,
+                                buf: bias_buf,
+                                row0: 0,
+                                col0,
+                            });
+                            new_ops.push(Op::AddRowBroadcast {
+                                dst: src,
+                                src: bias_frag,
+                            });
+                        }
+                        if let Some(func) = epilogue.unary_func() {
+                            if matches!(func, kami_gpu_sim::UnaryFunc::Softmax { .. })
+                                && (cols != n || col0 != 0)
+                            {
+                                return Err(KamiError::Unsupported {
+                                    detail: format!(
+                                        "softmax-scale epilogue needs full C rows in registers; \
+                                         this kernel stores {cols}-column tiles at column \
+                                         {col0} (n = {n})"
+                                    ),
+                                });
+                            }
+                            new_ops.push(Op::Unary { frag: src, func });
+                        }
+                    }
+                }
+                new_ops.push(op);
+            }
+            w.ops = new_ops;
+        }
+        Ok(())
+    }
+}
+
+/// A block GEMM ready to run: operands uploaded, C declared, kernel
+/// built with its C stores rewritten.
+pub(crate) struct Staged {
+    pub(crate) gmem: GlobalMemory,
+    pub(crate) kernel: BlockKernel,
+    c_buf: BufferId,
+    useful_flops: u64,
+}
+
+impl Staged {
+    /// Download C into a [`GemmResult`] carrying `report`.
+    pub(crate) fn finish(self, report: ExecutionReport, smem_fraction: f64) -> GemmResult {
+        GemmResult {
+            c: self.gmem.download(self.c_buf),
+            report,
+            smem_fraction,
+            useful_flops: self.useful_flops,
+        }
+    }
+}
+
+/// `(m, n, k)` of `A·B`, or a shape error when the inner dimensions
+/// disagree.
+pub(crate) fn product_dims(a: &Matrix, b: &Matrix) -> Result<(usize, usize, usize), KamiError> {
+    let (m, k) = (a.rows(), a.cols());
+    let (kb, n) = (b.rows(), b.cols());
+    if k != kb {
+        return Err(KamiError::ShapeMismatch {
+            detail: format!("A is {m}x{k} but B is {kb}x{n}"),
+        });
+    }
+    Ok((m, n, k))
+}
+
+/// Stage one block GEMM — the single place operands are uploaded and C
+/// is declared: upload `a` and `b` at `prec`, declare C as `store`
+/// needs it, build the kernel with `build(A, B, C, c_prec)`, and rewrite
+/// its C stores for `store`. `reduces` says the kernel sums layer
+/// partials into C with accumulate stores (KAMI-3D).
+pub(crate) fn stage(
+    prec: Precision,
+    a: &Matrix,
+    b: &Matrix,
+    store: CStore<'_>,
+    reduces: bool,
+    build: impl FnOnce(BufferId, BufferId, BufferId, Precision) -> BlockKernel,
+) -> Result<Staged, KamiError> {
+    let (m, n, k) = (a.rows(), b.cols(), a.cols());
+    let c_prec = c_precision(prec);
+    let mut gmem = GlobalMemory::new();
+    let ab = gmem.upload("A", a, prec);
+    let bb = gmem.upload("B", b, prec);
+    // The C-initialisation decision. beta = 0 never reads C0 (BLAS: it
+    // may hold NaN). A reducing kernel accumulates alpha-scaled partials
+    // onto beta·C0, applying beta once the way split-k fixups do; the
+    // others re-read C0 at the store and blend it in registers.
+    let cb = match store {
+        CStore::Scaled { beta, c0, .. } if beta != 0.0 && reduces => {
+            let scaled = Matrix::from_fn(m, n, |r, c| beta * c0[(r, c)]);
+            gmem.upload("C", &scaled, c_prec)
+        }
+        CStore::Scaled { beta, c0, .. } if beta != 0.0 => gmem.upload("C", c0, c_prec),
+        _ => gmem.alloc_zeroed("C", m, n, c_prec),
+    };
+    let bias_buf = match store {
+        CStore::Fused(Epilogue::Bias(bias)) => Some(gmem.upload("Bias", bias, c_prec)),
+        _ => None,
+    };
+    let mut kernel = build(ab, bb, cb, c_prec);
+    store.rewrite(&mut kernel, cb, bias_buf, n, c_prec)?;
+    Ok(Staged {
+        gmem,
+        kernel,
+        c_buf: cb,
+        useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
+    })
 }
 
 /// Build the algorithm kernel for one block GEMM (the single place the
@@ -69,11 +293,11 @@ pub(crate) fn build_gemm_kernel(
     m: usize,
     n: usize,
     k: usize,
-    ab: kami_gpu_sim::BufferId,
-    bb: kami_gpu_sim::BufferId,
-    cb: kami_gpu_sim::BufferId,
+    ab: BufferId,
+    bb: BufferId,
+    cb: BufferId,
     c_prec: Precision,
-) -> kami_gpu_sim::BlockKernel {
+) -> BlockKernel {
     match cfg.algo {
         Algo::OneD => algo1d::build_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
         Algo::TwoD => algo2d::build_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
@@ -81,23 +305,96 @@ pub(crate) fn build_gemm_kernel(
     }
 }
 
-/// Run a built kernel through the requested engine path. The split
-/// pipeline honors `cfg.backend`; the legacy oracle is always the
-/// interleaved interpreter (it exists to check every backend against).
-pub(crate) fn run_kernel(
+/// The block-GEMM driver: check shapes, validate `cfg`, stage the
+/// kernel for `store`, run it with `run`, and download C. A scaled store
+/// with `alpha == 0` prices the `beta·C0` epilogue without a kernel.
+fn drive(
     device: &DeviceSpec,
     cfg: &KamiConfig,
-    kernel: &kami_gpu_sim::BlockKernel,
-    gmem: &mut GlobalMemory,
-    path: EnginePath,
-) -> Result<ExecutionReport, SimError> {
-    let engine = Engine::with_cost(device, cfg.cost.clone());
-    match path {
-        EnginePath::Legacy => engine.run(kernel, gmem),
-        EnginePath::Split => {
-            let opts = RunOptions::default().with_backend(cfg.backend);
-            Ok(engine.run_kernel(kernel, gmem, &opts)?.report)
+    a: &Matrix,
+    b: &Matrix,
+    store: CStore<'_>,
+    run: impl FnOnce(&Engine, &BlockKernel, &mut GlobalMemory) -> Result<ExecutionReport, SimError>,
+) -> Result<GemmResult, KamiError> {
+    let (m, n, k) = product_dims(a, b)?;
+    if let CStore::Scaled { c0, .. } = store {
+        if (c0.rows(), c0.cols()) != (m, n) {
+            return Err(KamiError::ShapeMismatch {
+                detail: format!("C0 is {}x{} but A·B is {m}x{n}", c0.rows(), c0.cols()),
+            });
         }
+    }
+    cfg.validate(device, m, n, k)?;
+    match store {
+        CStore::Scaled {
+            alpha: 0.0,
+            beta,
+            c0,
+        } => return gemm_beta_only(device, cfg, beta, c0),
+        CStore::Fused(epilogue) => epilogue.validate(n)?,
+        _ => {}
+    }
+    let reduces = cfg.algo == Algo::ThreeD;
+    let mut s = stage(cfg.precision, a, b, store, reduces, |ab, bb, cb, c_prec| {
+        build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec)
+    })?;
+    let report = run(
+        &Engine::with_cost(device, cfg.cost.clone()),
+        &s.kernel,
+        &mut s.gmem,
+    )?;
+    Ok(s.finish(report, cfg.smem_fraction))
+}
+
+/// Engine body of the strict entry points (shared by the request
+/// executor): one block GEMM on the split plan → cost → execute
+/// pipeline, on `cfg.backend`.
+pub(crate) fn exec_direct(
+    device: &DeviceSpec,
+    cfg: &KamiConfig,
+    a: &Matrix,
+    b: &Matrix,
+    store: CStore<'_>,
+) -> Result<GemmResult, KamiError> {
+    let opts = RunOptions::default().with_backend(cfg.backend);
+    drive(device, cfg, a, b, store, |engine, kernel, gmem| {
+        Ok(engine.run_kernel(kernel, gmem, &opts)?.report)
+    })
+}
+
+/// One block GEMM with any [`CStore`] on the legacy interleaved engine.
+/// Exists so the differential harness (`kami-verify`'s `ExecParity`)
+/// can hold the two interpreters together on real workloads; everything
+/// else goes through the split pipeline.
+pub fn gemm_legacy(
+    device: &DeviceSpec,
+    cfg: &KamiConfig,
+    a: &Matrix,
+    b: &Matrix,
+    store: CStore<'_>,
+) -> Result<GemmResult, KamiError> {
+    drive(device, cfg, a, b, store, |engine, kernel, gmem| {
+        engine.run(kernel, gmem)
+    })
+}
+
+/// Engine body of the auto entry points: the driver under the §4.7
+/// fallback ladder. Tall-skinny shapes (including the transposed wide
+/// case arriving via [`gemm_t`]) route to the k-split path unless the
+/// store is scaled — no monolithic configuration fits them, so the
+/// ladder alone could only fail.
+pub(crate) fn exec_auto(
+    device: &DeviceSpec,
+    cfg: &KamiConfig,
+    a: &Matrix,
+    b: &Matrix,
+    store: CStore<'_>,
+) -> Result<GemmResult, KamiError> {
+    let skinny = a.cols() == b.rows() && is_tall_skinny(a.rows(), b.cols(), a.cols());
+    match store {
+        CStore::Plain if skinny => gemm_skinny(device, cfg, a, b, None),
+        CStore::Fused(epi) if skinny => gemm_skinny(device, cfg, a, b, Some(epi)),
+        _ => run_fallback_ladder(cfg, |c| exec_direct(device, c, a, b, store)),
     }
 }
 
@@ -121,63 +418,6 @@ pub fn gemm(
     .execute_single(device)
 }
 
-/// Engine body of [`gemm`] (shared by the request executor); runs the
-/// split plan→cost→execute pipeline.
-pub(crate) fn exec_gemm(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_path(device, cfg, a, b, EnginePath::Split)
-}
-
-/// [`gemm`] driven by the legacy interleaved engine. Exists so the
-/// differential harness (`kami-verify`'s `ExecParity`) can hold the two
-/// interpreters together on real workloads; everything else goes
-/// through the split pipeline.
-pub fn gemm_legacy(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_path(device, cfg, a, b, EnginePath::Legacy)
-}
-
-fn exec_gemm_path(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    path: EnginePath,
-) -> Result<GemmResult, KamiError> {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb {
-        return Err(KamiError::ShapeMismatch {
-            detail: format!("A is {m}x{k} but B is {kb}x{n}"),
-        });
-    }
-    cfg.validate(device, m, n, k)?;
-
-    let prec = cfg.precision;
-    let c_prec = c_precision(prec);
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("A", a, prec);
-    let bb = gmem.upload("B", b, prec);
-    let cb = gmem.alloc_zeroed("C", m, n, c_prec);
-
-    let kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
-    let report = run_kernel(device, cfg, &kernel, &mut gmem, path)?;
-    Ok(GemmResult {
-        c: gmem.download(cb),
-        report,
-        smem_fraction: cfg.smem_fraction,
-        useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
-    })
-}
-
 /// Full BLAS-style GEMM: `C = alpha·A·B + beta·C0`.
 ///
 /// The epilogue runs inside the kernel for 1D/2D (each warp scales its
@@ -189,7 +429,8 @@ fn exec_gemm_path(
 ///
 /// Per BLAS, `alpha == 0` must not read `A` or `B` (NaN/Inf in them must
 /// not poison `C`): that case short-circuits to the `beta·C0` epilogue
-/// without building the product kernel.
+/// without building the product kernel. Likewise `beta == 0` never
+/// reads `C0`, on every algorithm.
 pub fn gemm_scaled(
     device: &DeviceSpec,
     cfg: &KamiConfig,
@@ -208,62 +449,6 @@ pub fn gemm_scaled(
     )
     .scaled(alpha, beta, c0.clone())
     .execute_single(device)
-}
-
-/// Engine body of [`gemm_scaled`] (shared by the request executor);
-/// runs the split plan→cost→execute pipeline.
-pub(crate) fn exec_gemm_scaled(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c0: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb || c0.rows() != m || c0.cols() != n {
-        return Err(KamiError::ShapeMismatch {
-            detail: format!(
-                "A {m}x{k}, B {kb}x{n}, C {}x{} are inconsistent",
-                c0.rows(),
-                c0.cols()
-            ),
-        });
-    }
-    cfg.validate(device, m, n, k)?;
-    if alpha == 0.0 {
-        return gemm_beta_only(device, cfg, beta, c0);
-    }
-
-    let prec = cfg.precision;
-    let c_prec = c_precision(prec);
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("A", a, prec);
-    let bb = gmem.upload("B", b, prec);
-    let three_d = cfg.algo == Algo::ThreeD;
-    let cb = if three_d {
-        // Pre-scaled beta pass; the kernel accumulates alpha-scaled
-        // layer partials on top.
-        let scaled = Matrix::from_fn(m, n, |r, c| beta * c0[(r, c)]);
-        gmem.upload("C", &scaled, c_prec)
-    } else if beta != 0.0 {
-        gmem.upload("C", c0, c_prec)
-    } else {
-        gmem.alloc_zeroed("C", m, n, c_prec)
-    };
-
-    let mut kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
-    apply_epilogue(&mut kernel, cb, alpha, beta, three_d, c_prec);
-
-    let report = run_kernel(device, cfg, &kernel, &mut gmem, EnginePath::Split)?;
-    Ok(GemmResult {
-        c: gmem.download(cb),
-        report,
-        smem_fraction: cfg.smem_fraction,
-        useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
-    })
 }
 
 /// The `alpha == 0` epilogue: `C = beta·C0` without touching `A`/`B`.
@@ -318,169 +503,6 @@ fn gemm_beta_only(
     })
 }
 
-/// Rewrite a kernel's trailing C stores into the alpha/beta epilogue.
-fn apply_epilogue(
-    kernel: &mut kami_gpu_sim::BlockKernel,
-    c_buf: kami_gpu_sim::BufferId,
-    alpha: f64,
-    beta: f64,
-    three_d: bool,
-    c_prec: Precision,
-) {
-    use kami_gpu_sim::Op;
-    if alpha == 1.0 && (beta == 0.0 || three_d) {
-        return; // the built kernel already computes this
-    }
-    for w in &mut kernel.warps {
-        let mut new_ops = Vec::with_capacity(w.ops.len() + 8);
-        let ops = std::mem::take(&mut w.ops);
-        for op in ops {
-            match op {
-                Op::GlobalStore {
-                    src,
-                    buf,
-                    row0,
-                    col0,
-                    accumulate,
-                } if buf == c_buf => {
-                    if alpha != 1.0 {
-                        new_ops.push(Op::Scale {
-                            frag: src,
-                            factor: alpha,
-                        });
-                    }
-                    if !three_d && beta != 0.0 {
-                        // Blend with the previous C window in registers.
-                        let (rows, cols) = {
-                            let d = &w.frags[src];
-                            (d.rows, d.cols)
-                        };
-                        w.frags
-                            .push(kami_gpu_sim::FragDecl::new("CPrev", rows, cols, c_prec));
-                        let prev = w.frags.len() - 1;
-                        new_ops.push(Op::GlobalLoad {
-                            dst: prev,
-                            buf,
-                            row0,
-                            col0,
-                        });
-                        if beta != 1.0 {
-                            new_ops.push(Op::Scale {
-                                frag: prev,
-                                factor: beta,
-                            });
-                        }
-                        new_ops.push(Op::AddAssign {
-                            dst: src,
-                            src: prev,
-                        });
-                    }
-                    new_ops.push(Op::GlobalStore {
-                        src,
-                        buf,
-                        row0,
-                        col0,
-                        accumulate,
-                    });
-                }
-                other => new_ops.push(other),
-            }
-        }
-        w.ops = new_ops;
-    }
-}
-
-/// Rewrite a kernel's trailing C stores to apply a fused [`Epilogue`]
-/// while the tile is still in registers (the `model::epilogue` closed
-/// forms account exactly the ops inserted here, and nothing else).
-///
-/// The rewrite is geometry-driven, so it works for any algorithm whose
-/// C stores it can legally decorate — and rejects the rest honestly:
-///
-/// * an accumulate-store (3D's cross-layer reduction) cannot host an
-///   epilogue — the function of a partial sum is not the partial sum
-///   of the function;
-/// * row-wise softmax needs each stored fragment to span full logical
-///   rows of C (true on 1D; false on 2D with `q > 1`).
-pub(crate) fn fuse_epilogue_ops(
-    kernel: &mut kami_gpu_sim::BlockKernel,
-    c_buf: kami_gpu_sim::BufferId,
-    bias_buf: Option<kami_gpu_sim::BufferId>,
-    epilogue: &Epilogue,
-    n: usize,
-    c_prec: Precision,
-) -> Result<(), KamiError> {
-    use kami_gpu_sim::Op;
-    let unary = epilogue.unary_func();
-    for w in &mut kernel.warps {
-        let mut new_ops = Vec::with_capacity(w.ops.len() + 4);
-        let ops = std::mem::take(&mut w.ops);
-        for op in ops {
-            match op {
-                Op::GlobalStore {
-                    src,
-                    buf,
-                    row0,
-                    col0,
-                    accumulate,
-                } if buf == c_buf => {
-                    if accumulate {
-                        return Err(KamiError::Unsupported {
-                            detail: format!(
-                                "{} epilogue cannot fuse into an accumulate store \
-                                 (3D cross-layer reduction)",
-                                epilogue.label()
-                            ),
-                        });
-                    }
-                    let cols = w.frags[src].cols;
-                    if let Some(bias_buf) = bias_buf {
-                        // Load the bias columns under this warp's C tile
-                        // and broadcast-add them in registers.
-                        w.frags
-                            .push(kami_gpu_sim::FragDecl::new("BiasRow", 1, cols, c_prec));
-                        let bias_frag = w.frags.len() - 1;
-                        new_ops.push(Op::GlobalLoad {
-                            dst: bias_frag,
-                            buf: bias_buf,
-                            row0: 0,
-                            col0,
-                        });
-                        new_ops.push(Op::AddRowBroadcast {
-                            dst: src,
-                            src: bias_frag,
-                        });
-                    }
-                    if let Some(func) = unary {
-                        if matches!(func, kami_gpu_sim::UnaryFunc::Softmax { .. })
-                            && (cols != n || col0 != 0)
-                        {
-                            return Err(KamiError::Unsupported {
-                                detail: format!(
-                                    "softmax-scale epilogue needs full C rows in registers; \
-                                     this kernel stores {cols}-column tiles at column {col0} \
-                                     (n = {n})"
-                                ),
-                            });
-                        }
-                        new_ops.push(Op::Unary { frag: src, func });
-                    }
-                    new_ops.push(Op::GlobalStore {
-                        src,
-                        buf,
-                        row0,
-                        col0,
-                        accumulate,
-                    });
-                }
-                other => new_ops.push(other),
-            }
-        }
-        w.ops = new_ops;
-    }
-    Ok(())
-}
-
 /// `C = epilogue(A·B)` with the epilogue fused into the kernel's store
 /// phase (no second global round trip). See [`Epilogue`] for the
 /// numerics contract per function.
@@ -500,83 +522,6 @@ pub fn gemm_fused(
     )
     .with_epilogue(epilogue.clone())
     .execute_single(device)
-}
-
-/// [`gemm_fused`] driven by the legacy interleaved engine (the
-/// `ExecParity` differential oracle, like [`gemm_legacy`]).
-pub fn gemm_fused_legacy(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    epilogue: &Epilogue,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_fused_path(device, cfg, a, b, epilogue, EnginePath::Legacy)
-}
-
-/// Engine body of [`gemm_fused`] (shared by the request executor);
-/// runs the split plan→cost→execute pipeline.
-pub(crate) fn exec_gemm_fused(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    epilogue: &Epilogue,
-) -> Result<GemmResult, KamiError> {
-    exec_gemm_fused_path(device, cfg, a, b, epilogue, EnginePath::Split)
-}
-
-/// The fused path under the §4.7 fallback ladder (the bias-row
-/// fragment can be the straw that overflows the register file).
-pub(crate) fn exec_gemm_fused_auto(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    epilogue: &Epilogue,
-) -> Result<GemmResult, KamiError> {
-    run_fallback_ladder(cfg, |c| exec_gemm_fused(device, c, a, b, epilogue))
-}
-
-fn exec_gemm_fused_path(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-    epilogue: &Epilogue,
-    path: EnginePath,
-) -> Result<GemmResult, KamiError> {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb {
-        return Err(KamiError::ShapeMismatch {
-            detail: format!("A is {m}x{k} but B is {kb}x{n}"),
-        });
-    }
-    cfg.validate(device, m, n, k)?;
-    epilogue.validate(n)?;
-
-    let prec = cfg.precision;
-    let c_prec = c_precision(prec);
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("A", a, prec);
-    let bb = gmem.upload("B", b, prec);
-    let cb = gmem.alloc_zeroed("C", m, n, c_prec);
-    let bias_buf = match epilogue {
-        Epilogue::Bias(bias) => Some(gmem.upload("Bias", bias, c_prec)),
-        _ => None,
-    };
-
-    let mut kernel = build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
-    fuse_epilogue_ops(&mut kernel, cb, bias_buf, epilogue, n, c_prec)?;
-
-    let report = run_kernel(device, cfg, &kernel, &mut gmem, path)?;
-    Ok(GemmResult {
-        c: gmem.download(cb),
-        report,
-        smem_fraction: cfg.smem_fraction,
-        useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
-    })
 }
 
 /// Operand orientation, cuBLAS-style (`CUBLAS_OP_N` / `CUBLAS_OP_T`).
@@ -613,7 +558,7 @@ pub fn gemm_t(
 ) -> Result<GemmResult, KamiError> {
     let at = op_a.apply(a);
     let bt = op_b.apply(b);
-    exec_gemm_auto(device, cfg, &at, &bt)
+    exec_auto(device, cfg, &at, &bt, CStore::Plain)
 }
 
 /// The §4.7 fallback ladder: fractions tried, in order, after the
@@ -637,36 +582,6 @@ pub fn gemm_auto(
         cfg,
     )
     .execute_single(device)
-}
-
-/// Engine body of [`gemm_auto`] (shared by the request executor).
-/// Tall-skinny shapes (including the transposed wide case arriving via
-/// [`gemm_t`]) route to the k-split path — no monolithic configuration
-/// fits them, so the ladder alone could only fail.
-pub(crate) fn exec_gemm_auto(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    if a.cols() == b.rows() && crate::model::skinny::is_tall_skinny(a.rows(), b.cols(), a.cols()) {
-        return crate::tallskinny::gemm_skinny(device, cfg, a, b, None);
-    }
-    run_fallback_ladder(cfg, |c| exec_gemm(device, c, a, b))
-}
-
-/// Engine body of the scaled auto path: the same §4.7 ladder wrapped
-/// around the alpha/beta epilogue kernel.
-pub(crate) fn exec_gemm_scaled_auto(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c0: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    run_fallback_ladder(cfg, |c| exec_gemm_scaled(device, c, alpha, a, b, beta, c0))
 }
 
 /// Run `attempt` at the requested `smem_fraction`, escalating through
@@ -744,22 +659,16 @@ pub(crate) fn exec_gemm_padded(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb {
-        return Err(KamiError::ShapeMismatch {
-            detail: format!("A is {m}x{k} but B is {kb}x{n}"),
-        });
-    }
+    let (m, n, k) = product_dims(a, b)?;
     let (mp, np, kp) = padded_dims(cfg, m, n, k);
     if (mp, np, kp) == (m, n, k) {
-        return exec_gemm_auto(device, cfg, a, b);
+        return exec_auto(device, cfg, a, b, CStore::Plain);
     }
     let mut ap = Matrix::zeros(mp, kp);
     ap.set_submatrix(0, 0, a);
     let mut bp = Matrix::zeros(kp, np);
     bp.set_submatrix(0, 0, b);
-    let mut res = exec_gemm_auto(device, cfg, &ap, &bp)?;
+    let mut res = exec_auto(device, cfg, &ap, &bp, CStore::Plain)?;
     res.c = res.c.submatrix(0, 0, m, n);
     res.useful_flops = 2 * (m as u64) * (n as u64) * (k as u64);
     Ok(res)
@@ -957,6 +866,40 @@ mod tests {
             // The product was never formed: no flops, no smem traffic.
             assert_eq!(res.report.flops_charged, 0);
             assert_eq!(res.report.comm_volume(), 0);
+        }
+    }
+
+    #[test]
+    fn scaled_gemm_beta_zero_ignores_nan_and_inf_in_c0() {
+        let dev = gh200();
+        let (m, n, k) = (16usize, 16usize, 16usize);
+        // BLAS: beta = 0 means C0 is not read, so NaN/±Inf in it must
+        // not poison C on any algorithm. KAMI-3D once uploaded 0·C0 as
+        // its accumulate target, and 0·NaN = 0·Inf = NaN.
+        let a = Matrix::seeded_uniform(m, k, 33);
+        let b = Matrix::seeded_uniform(k, n, 34);
+        let ab = reference_gemm(&a, &b, Precision::Fp64);
+        let want = Matrix::from_fn(m, n, |r, c| 2.0 * ab[(r, c)]);
+        let nan = Matrix::from_fn(m, n, |_, _| f64::NAN);
+        let inf = Matrix::from_fn(m, n, |r, c| {
+            if (r + c) % 2 == 0 {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            }
+        });
+        for (label, c0) in [("NaN", &nan), ("±Inf", &inf)] {
+            for algo in Algo::ALL {
+                let cfg = KamiConfig::new(algo, Precision::Fp64);
+                let res = gemm_scaled(&dev, &cfg, 2.0, &a, &b, 0.0, c0).unwrap();
+                let poisoned = res.c.as_slice().iter().filter(|x| !x.is_finite()).count();
+                assert_eq!(poisoned, 0, "{} read {label} from C0", algo.label());
+                assert!(
+                    res.c.max_abs_diff(&want) < 1e-12,
+                    "{} diverges",
+                    algo.label()
+                );
+            }
         }
     }
 

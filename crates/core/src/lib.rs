@@ -29,6 +29,8 @@
 //!          cfg.algo.label(), res.report.cycles, res.block_tflops(&dev));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algo1d;
 pub mod algo25d;
 pub mod algo2d;
@@ -56,8 +58,8 @@ pub use config::{Algo, KamiConfig};
 pub use epilogue::Epilogue;
 pub use error::KamiError;
 pub use gemm::{
-    gemm, gemm_auto, gemm_fused, gemm_fused_legacy, gemm_legacy, gemm_padded, gemm_scaled, gemm_t,
-    padded_dims, GemmResult, MatOp, FALLBACK_FRACTIONS,
+    gemm, gemm_auto, gemm_fused, gemm_legacy, gemm_padded, gemm_scaled, gemm_t, padded_dims,
+    CStore, GemmResult, MatOp, FALLBACK_FRACTIONS,
 };
 pub use lowrank::{auto_warps, lowrank_gemm, lowrank_gemm_colsplit, MAX_LOW_RANK};
 pub use plan::{gemm_cost, gemm_cost_auto, gemm_execute_plan, gemm_execute_plan_with, GemmPlan};

@@ -27,9 +27,9 @@
 
 use crate::config::{Algo, KamiConfig};
 use crate::error::KamiError;
-use crate::gemm::{c_precision, exec_gemm_auto, GemmResult};
+use crate::gemm::{exec_auto, stage, CStore, GemmResult};
 use crate::layout::{tile_bytes, SmemMap};
-use kami_gpu_sim::{BlockKernel, BufferId, DeviceSpec, Engine, GlobalMemory, Matrix, Precision};
+use kami_gpu_sim::{BlockKernel, BufferId, DeviceSpec, Engine, Matrix, Precision, RunOptions};
 
 /// Largest inner dimension still considered "low-rank" by this interface
 /// (the paper evaluates 16 and 32; 64 is a generous upper bound).
@@ -116,26 +116,19 @@ pub fn lowrank_gemm_colsplit(
             ),
         });
     }
-    let prec = cfg.precision;
-    let c_prec = c_precision(prec);
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("U", u, prec);
-    let bb = gmem.upload("V", v, prec);
-    let cb = gmem.alloc_zeroed("C", m, n, c_prec);
-    let kernel = build_colsplit_kernel(cfg, m, n, k, ab, bb, cb, c_prec);
+    let mut s = stage(
+        cfg.precision,
+        u,
+        v,
+        CStore::Plain,
+        false,
+        |ab, bb, cb, c_prec| build_colsplit_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
+    )?;
+    let opts = RunOptions::default().with_backend(cfg.backend);
     let report = Engine::with_cost(device, cfg.cost.clone())
-        .run_kernel(
-            &kernel,
-            &mut gmem,
-            &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
-        )?
+        .run_kernel(&s.kernel, &mut s.gmem, &opts)?
         .report;
-    Ok(GemmResult {
-        c: gmem.download(cb),
-        report,
-        smem_fraction: cfg.smem_fraction,
-        useful_flops: 2 * (m as u64) * (n as u64) * (k as u64),
-    })
+    Ok(s.finish(report, cfg.smem_fraction))
 }
 
 /// Multiply a low-rank factorization `U·V`.
@@ -175,7 +168,7 @@ pub(crate) fn exec_lowrank_gemm(
     }
     match cfg.algo {
         Algo::OneD => lowrank_gemm_colsplit(device, cfg, u, v),
-        _ => exec_gemm_auto(device, cfg, u, v),
+        _ => exec_auto(device, cfg, u, v, CStore::Plain),
     }
 }
 

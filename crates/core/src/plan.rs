@@ -13,10 +13,8 @@
 
 use crate::config::KamiConfig;
 use crate::error::KamiError;
-use crate::gemm::{build_gemm_kernel, c_precision, run_fallback_ladder, GemmResult};
-use kami_gpu_sim::{
-    BackendKind, DeviceSpec, Engine, ExecutionReport, GlobalMemory, GmemLayout, Matrix,
-};
+use crate::gemm::{build_gemm_kernel, c_precision, run_fallback_ladder, stage, CStore, GemmResult};
+use kami_gpu_sim::{BackendKind, DeviceSpec, Engine, ExecutionReport, GmemLayout, Matrix};
 
 /// A costed shape class: everything the cost pass produced for
 /// `(cfg, m, n, k)` on one device, with no operand values involved.
@@ -137,24 +135,19 @@ pub fn gemm_execute_plan_with(
             ),
         });
     }
-    let cfg = &plan.cfg;
-    let prec = cfg.precision;
-    let c_prec = c_precision(prec);
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("A", a, prec);
-    let bb = gmem.upload("B", b, prec);
-    let cb = gmem.alloc_zeroed("C", plan.m, plan.n, c_prec);
-
-    let kernel = build_gemm_kernel(cfg, plan.m, plan.n, plan.k, ab, bb, cb, c_prec);
+    let (cfg, m, n, k) = (&plan.cfg, plan.m, plan.n, plan.k);
+    let mut s = stage(
+        cfg.precision,
+        a,
+        b,
+        CStore::Plain,
+        false,
+        |ab, bb, cb, c_prec| build_gemm_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
+    )?;
     let engine = Engine::with_cost(device, cfg.cost.clone());
-    let planned = engine.plan(&kernel)?;
-    engine.execute_with(backend, &planned, &mut gmem)?;
-    Ok(GemmResult {
-        c: gmem.download(cb),
-        report: plan.report.clone(),
-        smem_fraction: plan.smem_fraction,
-        useful_flops: plan.useful_flops,
-    })
+    let planned = engine.plan(&s.kernel)?;
+    engine.execute_with(backend, &planned, &mut s.gmem)?;
+    Ok(s.finish(plan.report.clone(), plan.smem_fraction))
 }
 
 #[cfg(test)]
@@ -163,7 +156,7 @@ mod tests {
     use crate::config::Algo;
     use crate::gemm::gemm;
     use kami_gpu_sim::device::gh200;
-    use kami_gpu_sim::{Precision, SimError};
+    use kami_gpu_sim::{GlobalMemory, Precision, SimError};
 
     #[test]
     fn cost_pass_report_matches_full_run() {

@@ -34,14 +34,10 @@ use crate::batched::{exec_batched_gemm, exec_batched_gemm_varied, BatchedResult}
 use crate::config::{Algo, KamiConfig};
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
-use crate::gemm::{
-    exec_gemm, exec_gemm_auto, exec_gemm_fused, exec_gemm_fused_auto, exec_gemm_padded,
-    exec_gemm_scaled, exec_gemm_scaled_auto, GemmResult,
-};
+use crate::gemm::{exec_auto, exec_direct, exec_gemm_padded, CStore, GemmResult};
 use crate::lowrank::exec_lowrank_gemm;
 use crate::model::skinny::{is_tall_skinny, SKINNY_CHUNK_K};
 use crate::plan::{gemm_cost, gemm_cost_auto, gemm_execute_plan_with, GemmPlan};
-use crate::tallskinny::gemm_skinny;
 use crate::tune::SharedTuner;
 use kami_gpu_sim::{BackendKind, CostConfig, DeviceSpec, Matrix, Precision};
 
@@ -550,32 +546,29 @@ impl GemmRequest {
         let plain = self.is_plain();
         let resolve = || self.resolve_config_cached(device, tuner);
         match &self.op {
-            Op::Gemm { a, b } => {
+            Op::Gemm { a, b } | Op::GemmAuto { a, b } => {
                 let cfg = resolve()?;
-                if let Some(epi) = &self.epilogue {
-                    exec_gemm_fused(device, &cfg, a, b, epi)
-                } else if plain {
-                    exec_gemm(device, &cfg, a, b)
+                let zeros;
+                let store = match (&self.epilogue, &self.c0) {
+                    (Some(epi), _) => CStore::Fused(epi),
+                    _ if plain => CStore::Plain,
+                    (None, c0) => CStore::Scaled {
+                        alpha: self.alpha,
+                        beta: self.beta,
+                        // Only alpha was set: C0 is zeros of the output shape.
+                        c0: match c0 {
+                            Some(c0) => c0,
+                            None => {
+                                zeros = Matrix::zeros(a.rows(), b.cols());
+                                &zeros
+                            }
+                        },
+                    },
+                };
+                if matches!(self.op, Op::Gemm { .. }) {
+                    exec_direct(device, &cfg, a, b, store)
                 } else {
-                    let c0 = self.effective_c0(a, b);
-                    exec_gemm_scaled(device, &cfg, self.alpha, a, b, self.beta, &c0)
-                }
-            }
-            Op::GemmAuto { a, b } => {
-                // Skinny shapes route before any full-shape work: the
-                // chunk-shape configuration resolves fine, but nothing
-                // monolithic would.
-                let cfg = resolve()?;
-                if self.is_skinny() {
-                    return gemm_skinny(device, &cfg, a, b, self.epilogue.as_ref());
-                }
-                if let Some(epi) = &self.epilogue {
-                    exec_gemm_fused_auto(device, &cfg, a, b, epi)
-                } else if plain {
-                    exec_gemm_auto(device, &cfg, a, b)
-                } else {
-                    let c0 = self.effective_c0(a, b);
-                    exec_gemm_scaled_auto(device, &cfg, self.alpha, a, b, self.beta, &c0)
+                    exec_auto(device, &cfg, a, b, store)
                 }
             }
             Op::GemmPadded { a, b } => {
@@ -636,14 +629,6 @@ impl GemmRequest {
             }
             None => Err(KamiError::MissingDevice),
         }
-    }
-
-    /// The `C0` operand for the scaled path: the attached one, or zeros
-    /// of the output shape when only `alpha` scaling was requested.
-    fn effective_c0(&self, a: &Matrix, b: &Matrix) -> Matrix {
-        self.c0
-            .clone()
-            .unwrap_or_else(|| Matrix::zeros(a.rows(), b.cols()))
     }
 }
 

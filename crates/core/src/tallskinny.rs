@@ -21,7 +21,7 @@
 use crate::config::KamiConfig;
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
-use crate::gemm::{c_precision, exec_gemm_padded, GemmResult};
+use crate::gemm::{c_precision, exec_gemm_padded, product_dims, GemmResult};
 pub use crate::model::skinny::{
     chunk_count, is_tall_skinny, SKINNY_CHUNK_K, SKINNY_DIM_MAX, SKINNY_K_MIN,
 };
@@ -66,13 +66,7 @@ pub fn gemm_skinny(
     b: &Matrix,
     epilogue: Option<&Epilogue>,
 ) -> Result<GemmResult, KamiError> {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    if k != kb {
-        return Err(KamiError::ShapeMismatch {
-            detail: format!("A is {m}x{k} but B is {kb}x{n}"),
-        });
-    }
+    let (m, n, k) = product_dims(a, b)?;
     if let Some(epi) = epilogue {
         epi.validate(n)?;
     }

@@ -12,7 +12,7 @@
 
 use crate::config::{Algo, KamiConfig};
 use crate::error::KamiError;
-use crate::gemm::{exec_gemm as gemm, GemmResult};
+use crate::gemm::{exec_direct, CStore, GemmResult};
 use crate::plan::gemm_cost;
 use kami_gpu_sim::{DeviceSpec, Matrix, Precision};
 use std::collections::HashMap;
@@ -212,13 +212,14 @@ impl SharedTuner {
         let (m, k) = (a.rows(), a.cols());
         let n = b.cols();
         let cfg = self.config_for(device, m, n, k, precision)?.cfg;
-        gemm(device, &cfg, a, b)
+        exec_direct(device, &cfg, a, b, CStore::Plain)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::gemm;
     use kami_gpu_sim::device::gh200;
 
     #[test]

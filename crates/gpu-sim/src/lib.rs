@@ -49,6 +49,8 @@
 //! assert!(report.cycles > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod device;
 pub mod engine;

@@ -40,6 +40,8 @@
 //!          report.achieved_tflops, report.decomposition.label());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod error;
 pub mod plan;

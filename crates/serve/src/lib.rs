@@ -66,6 +66,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod fleet;
 pub mod metrics;

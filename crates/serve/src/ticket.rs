@@ -3,20 +3,17 @@
 //! `submit` returns a [`Ticket`] immediately; the dispatcher resolves
 //! it when the request's group drains (or when the request fails).
 //!
-//! Resolution is **lock-free**: the outcome lands in a one-shot value
-//! slot guarded by an atomic state machine (`EMPTY → WRITING → READY →
-//! TAKEN`), so the dispatcher's settle path never blocks on a client
-//! that is polling or waiting — and, crucially, never needs the
-//! server's global state mutex. Blocking [`Ticket::wait`] parks on a
-//! per-ticket condvar that the resolver only touches when a waiter has
-//! registered, so the uncontended completion path is a handful of
-//! atomic stores.
+//! Resolution is a **mutex-guarded one-shot**: the outcome lands in a
+//! per-ticket slot under the ticket's own mutex, never the server's
+//! global state mutex, and blocking [`Ticket::wait`] parks on the
+//! ticket's condvar until it is resolved.
+//! The lock is held only to move one value in or out, so a resolve
+//! costs well under a microsecond against dispatcher ticks of
+//! milliseconds.
 
 use crate::error::ServeError;
 use crate::request::ServeOutput;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// How a request reached completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,109 +72,55 @@ impl Completed {
     }
 }
 
-/// One-shot state machine: `EMPTY → WRITING → READY → TAKEN`.
-const EMPTY: u8 = 0;
-const WRITING: u8 = 1;
-const READY: u8 = 2;
-const TAKEN: u8 = 3;
+/// The one-shot slot: `resolved` flips once, when the outcome lands;
+/// the outcome then moves out once.
+#[derive(Debug, Default)]
+struct Slot {
+    resolved: bool,
+    outcome: Option<Result<Completed, ServeError>>,
+}
 
-/// The shared half of a ticket: an atomic one-shot cell.
-///
-/// Safety model: the slot is written exactly once, by the thread that
-/// wins the `EMPTY → WRITING` transition, and read exactly once, by the
-/// thread that wins the `READY → TAKEN` transition. The `Release` store
-/// of `READY` publishes the write; the `Acquire` CAS to `TAKEN` claims
-/// exclusive read access. No two threads ever touch the slot
-/// concurrently.
+/// The shared half of a ticket: a mutex-guarded one-shot slot plus the
+/// condvar that `wait` parks on.
+#[derive(Debug, Default)]
 pub(crate) struct TicketInner {
-    state: AtomicU8,
-    slot: UnsafeCell<Option<Result<Completed, ServeError>>>,
-    /// Threads parked (or about to park) in `wait`; the resolver only
-    /// pays for the condvar when this is nonzero.
-    waiters: AtomicUsize,
-    park: Mutex<()>,
+    slot: Mutex<Slot>,
     cv: Condvar,
 }
 
-// SAFETY: all slot access is serialized by the atomic state machine
-// (see the struct docs); every field it contains is Send.
-unsafe impl Send for TicketInner {}
-unsafe impl Sync for TicketInner {}
-
-impl Default for TicketInner {
-    fn default() -> Self {
-        TicketInner {
-            state: AtomicU8::new(EMPTY),
-            slot: UnsafeCell::new(None),
-            waiters: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-impl std::fmt::Debug for TicketInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match self.state.load(Ordering::Acquire) {
-            EMPTY => "empty",
-            WRITING => "writing",
-            READY => "ready",
-            _ => "taken",
-        };
-        f.debug_struct("TicketInner")
-            .field("state", &state)
-            .finish()
-    }
-}
-
 impl TicketInner {
+    /// The slot; a panic while it was held cannot leave it torn (every
+    /// critical section is a flag flip and a single move), so poisoning
+    /// is ignored.
+    fn slot(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Publish the outcome (exactly once; a second resolve is a server
-    /// bug and is dropped). Lock-free unless a waiter is parked.
+    /// bug and is dropped) and wake every waiter.
     pub(crate) fn resolve(&self, outcome: Result<Completed, ServeError>) {
-        if self
-            .state
-            .compare_exchange(EMPTY, WRITING, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
+        let mut slot = self.slot();
+        if slot.resolved {
             debug_assert!(false, "ticket resolved twice");
             return;
         }
-        // SAFETY: winning the EMPTY→WRITING CAS grants exclusive write
-        // access; no reader can observe the slot until READY is stored.
-        unsafe {
-            *self.slot.get() = Some(outcome);
-        }
-        self.state.store(READY, Ordering::SeqCst);
-        // Waiter registration (waiters += 1, then state check) and this
-        // (READY store, then waiters check) are both SeqCst, so either
-        // the waiter sees READY or we see the waiter — never neither.
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            // Taking the park lock orders the notify after the waiter's
-            // under-lock re-check, so the wakeup cannot be lost.
-            let _g = self.park.lock().unwrap_or_else(|p| p.into_inner());
-            self.cv.notify_all();
-        }
+        *slot = Slot {
+            resolved: true,
+            outcome: Some(outcome),
+        };
+        drop(slot);
+        self.cv.notify_all();
     }
 
     /// Whether an outcome has been published (or already consumed).
     fn is_done(&self) -> bool {
-        self.state.load(Ordering::Acquire) >= READY
+        self.slot().resolved
     }
 
-    /// Claim and take the outcome if published; `None` while in flight
-    /// (or if another thread already took it).
+    /// Take the outcome if published; `None` while in flight (or if
+    /// another thread already took it).
     fn try_take(&self) -> Option<Result<Completed, ServeError>> {
-        if self
-            .state
-            .compare_exchange(READY, TAKEN, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            // SAFETY: winning the READY→TAKEN CAS grants exclusive read
-            // access, and the Acquire pairs with the resolver's store.
-            unsafe { (*self.slot.get()).take() }
-        } else {
-            None
-        }
+        self.slot().outcome.take()
     }
 }
 
@@ -207,23 +150,20 @@ impl Ticket {
     /// Block until the request resolves and take the outcome. Some
     /// thread must be ticking the server (or `drain` must already have
     /// run) for this to return.
+    ///
+    /// # Panics
+    ///
+    /// If [`Ticket::try_take`] already took the outcome.
     pub fn wait(self) -> Result<Completed, ServeError> {
-        loop {
-            if let Some(outcome) = self.inner.try_take() {
-                return outcome;
-            }
-            // Register as a waiter, then re-check under the park lock:
-            // the resolver stores READY before probing `waiters`, and
-            // only notifies while holding `park`, so a waiter that saw
-            // no outcome under the lock is guaranteed a wakeup.
-            self.inner.waiters.fetch_add(1, Ordering::SeqCst);
-            let mut g = self.inner.park.lock().unwrap_or_else(|p| p.into_inner());
-            while !self.inner.is_done() {
-                g = self.inner.cv.wait(g).unwrap_or_else(|p| p.into_inner());
-            }
-            drop(g);
-            self.inner.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
+        let slot = self.inner.slot();
+        let mut slot = self
+            .inner
+            .cv
+            .wait_while(slot, |s| !s.resolved)
+            .unwrap_or_else(|p| p.into_inner());
+        slot.outcome
+            .take()
+            .expect("ticket outcome already taken by `try_take`")
     }
 }
 

@@ -19,6 +19,8 @@
 //! assert!(res.useful_flops > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bsr;
 pub mod error;
 pub mod gen;

@@ -26,9 +26,9 @@ use kami_core::model::cycles::{self, ModelParams};
 use kami_core::model::{epilogue as epilogue_model, skinny};
 use kami_core::tallskinny::chunk_count;
 use kami_core::{
-    algo25d, combine_partials, gemm, gemm_cost, gemm_execute_plan_with, gemm_fused,
-    gemm_fused_legacy, gemm_legacy, gemm_padded, gemm_scaled, gemm_skinny, gemm_t, reference_gemm,
-    Algo, Epilogue, GemmRequest, KamiConfig, KamiError, MatOp, Op, SKINNY_CHUNK_K,
+    algo25d, combine_partials, gemm, gemm_cost, gemm_execute_plan_with, gemm_fused, gemm_legacy,
+    gemm_padded, gemm_scaled, gemm_skinny, gemm_t, reference_gemm, Algo, CStore, Epilogue,
+    GemmRequest, GemmResult, KamiConfig, KamiError, MatOp, Op, SKINNY_CHUNK_K,
 };
 use kami_gpu_sim::{BackendKind, CostConfig, CostMode, Matrix, Precision};
 use kami_sched::{BlockWork, PlanCache, SchedError, Scheduler};
@@ -214,6 +214,26 @@ pub fn run_case(
                         case.beta
                     ),
                 ));
+            }
+
+            // Check: the scaled C store on every backend vs the oracle.
+            if (case.alpha, case.beta) != (1.0, 0.0) {
+                let store = CStore::Scaled {
+                    alpha: case.alpha,
+                    beta: case.beta,
+                    c0: &c0,
+                };
+                check_parity(
+                    &format!("{} scaled", algo.label()),
+                    &gemm_legacy(&device, &cfg, &a, &b, store),
+                    |backend| {
+                        if backend == cfg.backend {
+                            return Ok(res.clone());
+                        }
+                        let cfg = cfg.clone().with_backend(backend);
+                        gemm_scaled(&device, &cfg, case.alpha, &a, &b, case.beta, &c0)
+                    },
+                )?;
             }
 
             // Check 2: engine cycle tallies vs Formulas 1–12, on the
@@ -424,12 +444,52 @@ fn check_dense_model(
     Ok(())
 }
 
-/// Split-engine parity: `gemm_cost` + `gemm_execute_plan_with` (the
-/// plan → cost → execute pipeline) against `gemm_legacy` (the
-/// interleaved engine), for **every** [`BackendKind`]. Output bits, the
-/// full report, and any error must all be identical — zero tolerance,
-/// since the backend seam promises bit-exactness including accumulation
-/// order.
+/// ExecParity, the one comparison: `legacy` (the interleaved oracle)
+/// against `split(backend)` for **every** [`BackendKind`]. Output bits,
+/// the full report, and any error must all be identical — zero
+/// tolerance, since the backend seam promises bit-exactness including
+/// accumulation order.
+fn check_parity(
+    what: &str,
+    legacy: &Result<GemmResult, KamiError>,
+    split: impl Fn(BackendKind) -> Result<GemmResult, KamiError>,
+) -> Result<(), Mismatch> {
+    for backend in BackendKind::ALL {
+        let detail = match (legacy, &split(backend)) {
+            (Ok(l), Ok(s)) => {
+                let diff = s.c.max_abs_diff(&l.c);
+                let l_rep = serde_json::to_string(&l.report).unwrap_or_default();
+                let s_rep = serde_json::to_string(&s.report).unwrap_or_default();
+                if diff != 0.0 {
+                    format!(
+                        "{what} split ({backend}) output differs from legacy by {diff:.3e} \
+                         (must be bit-identical)"
+                    )
+                } else if l_rep != s_rep {
+                    format!("{what} split ({backend}) report diverges from the legacy run")
+                } else {
+                    continue;
+                }
+            }
+            (Err(le), Err(se)) if format!("{le:?}") == format!("{se:?}") => continue,
+            (Err(le), Err(se)) => {
+                format!("{what} legacy error `{le}` != split ({backend}) error `{se}`")
+            }
+            (Ok(_), Err(e)) => {
+                format!("{what} legacy engine ran but split ({backend}) failed: {e}")
+            }
+            (Err(e), Ok(_)) => {
+                format!("{what} split ({backend}) ran but legacy engine failed: {e}")
+            }
+        };
+        return Err(fail(CheckKind::ExecParity, detail));
+    }
+    Ok(())
+}
+
+/// Split-engine parity of the plain product: `gemm_cost` +
+/// `gemm_execute_plan_with` (the plan → cost → execute pipeline)
+/// against `gemm_legacy` (the interleaved engine).
 fn check_exec_parity(
     case: &Case,
     cfg: &KamiConfig,
@@ -438,67 +498,14 @@ fn check_exec_parity(
     b: &Matrix,
 ) -> Result<(), Mismatch> {
     let device = case.device.spec();
-    let legacy = gemm_legacy(&device, cfg, a, b);
-    for backend in BackendKind::ALL {
-        let split = gemm_cost(&device, cfg, case.m, case.n, case.k)
-            .and_then(|plan| gemm_execute_plan_with(&device, &plan, a, b, backend));
-        match (&legacy, &split) {
-            (Ok(l), Ok(s)) => {
-                let diff = s.c.max_abs_diff(&l.c);
-                if diff != 0.0 {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} split-engine ({backend}) output differs from legacy by {diff:.3e} \
-                             (must be bit-identical)",
-                            algo.label()
-                        ),
-                    ));
-                }
-                let l_rep = serde_json::to_string(&l.report).unwrap_or_default();
-                let s_rep = serde_json::to_string(&s.report).unwrap_or_default();
-                if l_rep != s_rep {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} cost-pass report ({backend}) diverges from the legacy run",
-                            algo.label()
-                        ),
-                    ));
-                }
-            }
-            (Err(le), Err(se)) => {
-                if format!("{le:?}") != format!("{se:?}") {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} legacy error `{le}` != split ({backend}) error `{se}`",
-                            algo.label()
-                        ),
-                    ));
-                }
-            }
-            (Ok(_), Err(e)) => {
-                return Err(fail(
-                    CheckKind::ExecParity,
-                    format!(
-                        "{} legacy engine ran but split engine ({backend}) failed: {e}",
-                        algo.label()
-                    ),
-                ))
-            }
-            (Err(e), Ok(_)) => {
-                return Err(fail(
-                    CheckKind::ExecParity,
-                    format!(
-                        "{} split engine ({backend}) ran but legacy engine failed: {e}",
-                        algo.label()
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(())
+    check_parity(
+        algo.label(),
+        &gemm_legacy(&device, cfg, a, b, CStore::Plain),
+        |backend| {
+            gemm_cost(&device, cfg, case.m, case.n, case.k)
+                .and_then(|plan| gemm_execute_plan_with(&device, &plan, a, b, backend))
+        },
+    )
 }
 
 /// The fused-epilogue plane, three seams at once:
@@ -510,8 +517,8 @@ fn check_exec_parity(
 ///   `model::epilogue` closed forms: extra gmem read bytes always
 ///   exact, the cycle delta exact under [`CostMode::Serial`] (the
 ///   `Overlap` max() can legitimately swallow the surcharge).
-/// * **ExecParity** — `gemm_fused_legacy` (interleaved engine) vs the
-///   split fused path: identical bits, identical report.
+/// * **ExecParity** — `gemm_legacy` with the fused store (interleaved
+///   engine) vs the split fused path: identical bits, identical report.
 fn check_epilogue(
     case: &Case,
     cfg: &KamiConfig,
@@ -610,64 +617,16 @@ fn check_epilogue(
         }
     }
 
-    match gemm_fused_legacy(&device, cfg, a, b, &epi) {
-        Ok(legacy) => {
-            // Every backend's fused split run must reproduce the legacy
-            // twin; the default-backend run is already in hand.
-            for backend in BackendKind::ALL {
-                let split = if backend == cfg.backend {
-                    Ok(fused.clone())
-                } else {
-                    gemm_fused(&device, &cfg.clone().with_backend(backend), a, b, &epi)
-                };
-                let split = match split {
-                    Ok(s) => s,
-                    Err(e) => {
-                        return Err(fail(
-                            CheckKind::ExecParity,
-                            format!(
-                                "{} fused split engine ({backend}) failed where legacy ran: {e}",
-                                algo.label()
-                            ),
-                        ))
-                    }
-                };
-                let diff = split.c.max_abs_diff(&legacy.c);
-                if diff != 0.0 {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} fused {} split ({backend}) output differs from legacy by \
-                             {diff:.3e} (must be bit-identical)",
-                            algo.label(),
-                            kind.label()
-                        ),
-                    ));
-                }
-                let l_rep = serde_json::to_string(&legacy.report).unwrap_or_default();
-                let s_rep = serde_json::to_string(&split.report).unwrap_or_default();
-                if l_rep != s_rep {
-                    return Err(fail(
-                        CheckKind::ExecParity,
-                        format!(
-                            "{} fused {} split ({backend}) report diverges from the legacy run",
-                            algo.label(),
-                            kind.label()
-                        ),
-                    ));
-                }
+    check_parity(
+        &format!("{} fused {}", algo.label(), kind.label()),
+        &gemm_legacy(&device, cfg, a, b, CStore::Fused(&epi)),
+        |backend| {
+            if backend == cfg.backend {
+                return Ok(fused.clone());
             }
-        }
-        Err(e) => {
-            return Err(fail(
-                CheckKind::ExecParity,
-                format!(
-                    "{} fused split engine ran but the legacy twin failed: {e}",
-                    algo.label()
-                ),
-            ))
-        }
-    }
+            gemm_fused(&device, &cfg.clone().with_backend(backend), a, b, &epi)
+        },
+    )?;
     Ok(CaseOutcome::Pass)
 }
 

@@ -32,6 +32,8 @@
 //! a full grid (the `verify_sweep` binary in kami-bench drives the
 //! latter; `--quick` is the CI leg).
 
+#![forbid(unsafe_code)]
+
 pub mod case;
 pub mod checks;
 pub mod fleet;

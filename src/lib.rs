@@ -36,6 +36,8 @@
 //! `examples/device_schedule.rs` for the device-level scheduler, and
 //! `examples/serve_traffic.rs` for the service runtime.
 
+#![forbid(unsafe_code)]
+
 pub use kami_baselines as baselines;
 pub use kami_core as core;
 pub use kami_gpu_sim as sim;

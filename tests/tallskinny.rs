@@ -12,7 +12,7 @@
 use kami::core::gemm::c_precision;
 use kami::core::{
     combine_partials, gemm_legacy, gemm_padded, gemm_skinny, is_tall_skinny, reference_gemm, Algo,
-    Epilogue, KamiConfig, SKINNY_CHUNK_K, SKINNY_K_MIN,
+    CStore, Epilogue, KamiConfig, SKINNY_CHUNK_K, SKINNY_K_MIN,
 };
 use kami::prelude::*;
 use proptest::prelude::*;
@@ -46,7 +46,7 @@ fn recomposed_oracle(
         let a_i = a.submatrix(0, k0, m, ck);
         let b_i = b.submatrix(k0, 0, ck, n);
         let part = if ck == SKINNY_CHUNK_K {
-            gemm_legacy(dev, cfg, &a_i, &b_i).expect("full chunk runs legacy")
+            gemm_legacy(dev, cfg, &a_i, &b_i, CStore::Plain).expect("full chunk runs legacy")
         } else {
             gemm_padded(dev, cfg, &a_i, &b_i).expect("ragged chunk runs padded")
         };
