@@ -15,14 +15,14 @@
 use crate::cost::{phase_cost, CostConfig, PhaseCost, PhaseTally};
 use crate::device::DeviceSpec;
 use crate::error::SimError;
-use crate::fragment::FragValue;
+use crate::fragment::{FragDecl, FragValue};
 use crate::memory::global::GlobalMemory;
 use crate::memory::regfile::{self, LiveRange, RegisterUsage};
 use crate::memory::shared::SharedMemory;
 use crate::passes::{native, BackendKind};
 use crate::program::{BlockKernel, Op, UnaryFunc, WarpProgram};
 use crate::report::ExecutionReport;
-use crate::tensor_core::{mma_fragment, shape_for};
+use crate::tensor_core::{mma_fragment, shape_for, MmaShape};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 
 /// Executes block kernels on one simulated SM of a device.
@@ -533,49 +533,16 @@ impl<'a> Engine<'a> {
         warp_frags: &mut [FragValue],
         tally: &mut PhaseTally,
     ) -> Result<u64, SimError> {
-        let (ad, bd, dd) = (
-            frag_decl(prog, a)?.clone(),
-            frag_decl(prog, b)?.clone(),
-            frag_decl(prog, d)?.clone(),
-        );
-        if ad.precision != bd.precision {
-            return Err(SimError::ShapeMismatch {
-                detail: format!("A is {:?} but B is {:?}", ad.precision, bd.precision),
-            });
-        }
-        let (ac0, ak) = a_cols.unwrap_or((0, ad.cols));
-        let (br0, bk) = b_rows.unwrap_or((0, bd.rows));
-        if ac0 + ak > ad.cols || br0 + bk > bd.rows {
-            return Err(SimError::BadOperand {
-                detail: format!(
-                    "k-slice out of bounds: a[:, {ac0}..{}] of {} cols, b[{br0}..{}, :] of {} rows",
-                    ac0 + ak,
-                    ad.cols,
-                    br0 + bk,
-                    bd.rows
-                ),
-            });
-        }
-        if ak != bk {
-            return Err(SimError::ShapeMismatch {
-                detail: format!("k extents differ: {ak} vs {bk}"),
-            });
-        }
-        if dd.rows != ad.rows || dd.cols != bd.cols {
-            return Err(SimError::ShapeMismatch {
-                detail: format!(
-                    "C is {}x{} but A·B is {}x{}",
-                    dd.rows, dd.cols, ad.rows, bd.cols
-                ),
-            });
-        }
-        let shape =
-            shape_for(self.device, ad.precision).ok_or_else(|| SimError::UnsupportedPrecision {
-                device: self.device.name.to_string(),
-                precision: ad.precision.label().to_string(),
-            })?;
-
-        let (m, n, k) = (ad.rows, bd.cols, ak);
+        let MmaOperands {
+            a: ad,
+            b: bd,
+            d: dd,
+            ac0,
+            br0,
+            k,
+            shape,
+        } = self.check_mma(prog, d, a, b, a_cols, b_rows)?;
+        let (m, n) = (ad.rows, bd.cols);
         let flops = match backend {
             BackendKind::Sim => {
                 // Extract the k-slices row-major.
@@ -607,6 +574,77 @@ impl<'a> Engine<'a> {
         }
         tally.add_flops(ad.precision, flops);
         Ok(flops)
+    }
+
+    /// The legality checks of one MMA `d += a[:, a_cols] · b[b_rows, :]`,
+    /// shared by [`Self::exec_mma`] and the cost pass, in order: A and B
+    /// precisions match, the k-slices fit (an overflowing end included),
+    /// their extents agree, C is `A·B`-shaped, and the device has an MMA
+    /// shape for the precision.
+    pub(crate) fn check_mma<'p>(
+        &self,
+        prog: &'p WarpProgram,
+        d: usize,
+        a: usize,
+        b: usize,
+        a_cols: Option<(usize, usize)>,
+        b_rows: Option<(usize, usize)>,
+    ) -> Result<MmaOperands<'p>, SimError> {
+        let (ad, bd, dd) = (
+            frag_decl(prog, a)?,
+            frag_decl(prog, b)?,
+            frag_decl(prog, d)?,
+        );
+        if ad.precision != bd.precision {
+            return Err(SimError::ShapeMismatch {
+                detail: format!("A is {:?} but B is {:?}", ad.precision, bd.precision),
+            });
+        }
+        let (ac0, ak) = a_cols.unwrap_or((0, ad.cols));
+        let (br0, bk) = b_rows.unwrap_or((0, bd.rows));
+        let (a_end, b_end) = (ac0.checked_add(ak), br0.checked_add(bk));
+        if a_end.is_none_or(|e| e > ad.cols) || b_end.is_none_or(|e| e > bd.rows) {
+            let end = |lo: usize, len: usize| {
+                lo.checked_add(len)
+                    .map_or_else(|| format!("{lo}+{len}"), |e| e.to_string())
+            };
+            return Err(SimError::BadOperand {
+                detail: format!(
+                    "k-slice out of bounds: a[:, {ac0}..{}] of {} cols, b[{br0}..{}, :] of {} rows",
+                    end(ac0, ak),
+                    ad.cols,
+                    end(br0, bk),
+                    bd.rows
+                ),
+            });
+        }
+        if ak != bk {
+            return Err(SimError::ShapeMismatch {
+                detail: format!("k extents differ: {ak} vs {bk}"),
+            });
+        }
+        if dd.rows != ad.rows || dd.cols != bd.cols {
+            return Err(SimError::ShapeMismatch {
+                detail: format!(
+                    "C is {}x{} but A·B is {}x{}",
+                    dd.rows, dd.cols, ad.rows, bd.cols
+                ),
+            });
+        }
+        let shape =
+            shape_for(self.device, ad.precision).ok_or_else(|| SimError::UnsupportedPrecision {
+                device: self.device.name.to_string(),
+                precision: ad.precision.label().to_string(),
+            })?;
+        Ok(MmaOperands {
+            a: ad,
+            b: bd,
+            d: dd,
+            ac0,
+            br0,
+            k: ak,
+            shape,
+        })
     }
 
     /// Lay one phase's raw op records onto the simulated clock: each
@@ -730,10 +768,19 @@ pub(crate) fn describe_op(prog: &WarpProgram, op: &Op) -> (TraceKind, String) {
     }
 }
 
-pub(crate) fn frag_decl(
-    prog: &WarpProgram,
-    id: usize,
-) -> Result<&crate::fragment::FragDecl, SimError> {
+/// A legal MMA's operands ([`Engine::check_mma`]): `d[m×n] +=
+/// a[:, ac0..ac0+k] · b[br0..br0+k, :]` on the device's `shape`.
+pub(crate) struct MmaOperands<'p> {
+    pub(crate) a: &'p FragDecl,
+    pub(crate) b: &'p FragDecl,
+    pub(crate) d: &'p FragDecl,
+    pub(crate) ac0: usize,
+    pub(crate) br0: usize,
+    pub(crate) k: usize,
+    pub(crate) shape: MmaShape,
+}
+
+pub(crate) fn frag_decl(prog: &WarpProgram, id: usize) -> Result<&FragDecl, SimError> {
     prog.frags.get(id).ok_or_else(|| SimError::BadOperand {
         detail: format!(
             "fragment id {id} out of range ({} declared)",

@@ -28,7 +28,6 @@ use crate::memory::global::GmemLayout;
 use crate::memory::shared::SharedMemory;
 use crate::program::{Op, WarpProgram};
 use crate::report::ExecutionReport;
-use crate::tensor_core::shape_for;
 use crate::trace::{Trace, TraceKind};
 
 /// Fragment-initialization flags of one warp — the cost pass's entire
@@ -311,7 +310,10 @@ impl<'a> Engine<'a> {
                 require_init_flag(init, a, w, prog)?;
                 require_init_flag(init, b, w, prog)?;
                 require_init_flag(init, d, w, prog)?;
-                let flops = self.cost_mma(prog, d, a, b, a_cols, b_rows, tally)?;
+                // The padded flop count never depends on values.
+                let mma = self.check_mma(prog, d, a, b, a_cols, b_rows)?;
+                let flops = mma.shape.padded_flops(mma.a.rows, mma.b.cols, mma.k);
+                tally.add_flops(mma.a.precision, flops);
                 *flops_charged += flops;
             }
             Op::Scale { frag, .. } => {
@@ -376,66 +378,5 @@ impl<'a> Engine<'a> {
             Op::Barrier => unreachable!("barriers are consumed by the phase structure"),
         }
         Ok(())
-    }
-
-    /// Validate and charge one MMA — the shape checks of the functional
-    /// `exec_mma` in the same order, with the padded flop count computed
-    /// directly (it never depended on values).
-    #[allow(clippy::too_many_arguments)]
-    fn cost_mma(
-        &self,
-        prog: &WarpProgram,
-        d: usize,
-        a: usize,
-        b: usize,
-        a_cols: Option<(usize, usize)>,
-        b_rows: Option<(usize, usize)>,
-        tally: &mut PhaseTally,
-    ) -> Result<u64, SimError> {
-        let (ad, bd, dd) = (
-            frag_decl(prog, a)?.clone(),
-            frag_decl(prog, b)?.clone(),
-            frag_decl(prog, d)?.clone(),
-        );
-        if ad.precision != bd.precision {
-            return Err(SimError::ShapeMismatch {
-                detail: format!("A is {:?} but B is {:?}", ad.precision, bd.precision),
-            });
-        }
-        let (ac0, ak) = a_cols.unwrap_or((0, ad.cols));
-        let (br0, bk) = b_rows.unwrap_or((0, bd.rows));
-        if ac0 + ak > ad.cols || br0 + bk > bd.rows {
-            return Err(SimError::BadOperand {
-                detail: format!(
-                    "k-slice out of bounds: a[:, {ac0}..{}] of {} cols, b[{br0}..{}, :] of {} rows",
-                    ac0 + ak,
-                    ad.cols,
-                    br0 + bk,
-                    bd.rows
-                ),
-            });
-        }
-        if ak != bk {
-            return Err(SimError::ShapeMismatch {
-                detail: format!("k extents differ: {ak} vs {bk}"),
-            });
-        }
-        if dd.rows != ad.rows || dd.cols != bd.cols {
-            return Err(SimError::ShapeMismatch {
-                detail: format!(
-                    "C is {}x{} but A·B is {}x{}",
-                    dd.rows, dd.cols, ad.rows, bd.cols
-                ),
-            });
-        }
-        let shape =
-            shape_for(self.device, ad.precision).ok_or_else(|| SimError::UnsupportedPrecision {
-                device: self.device.name.to_string(),
-                precision: ad.precision.label().to_string(),
-            })?;
-        let (m, n, k) = (ad.rows, bd.cols, ak);
-        let flops = shape.padded_flops(m, n, k);
-        tally.add_flops(ad.precision, flops);
-        Ok(flops)
     }
 }

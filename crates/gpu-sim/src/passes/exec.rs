@@ -313,4 +313,40 @@ mod tests {
         let k = BlockKernel::spmd(1, |_, w| w.meta_load(cap - 8, 8));
         check_every_backend(&k, |_| {}).unwrap();
     }
+
+    #[test]
+    fn overflowing_k_slice_is_bad_operand_through_every_backend() {
+        let build = |g: &mut GlobalMemory| {
+            g.upload("A", &Matrix::seeded_uniform(2, 4, 1), Precision::Fp16);
+            g.upload("B", &Matrix::seeded_uniform(4, 2, 2), Precision::Fp16);
+        };
+        // A k-slice of `a`'s columns (A 2×4, B 1×2) or of `b`'s rows
+        // (A 2×1, B 4×2) starting at `start`, one iteration wide.
+        let sliced = |start: usize, of_a: bool| {
+            BlockKernel::spmd(1, move |_, w| {
+                let (ak, bk) = if of_a { (4, 1) } else { (1, 4) };
+                let fa = w.frag("a", 2, ak, Precision::Fp16);
+                let fb = w.frag("b", bk, 2, Precision::Fp16);
+                let fd = w.frag("d", 2, 2, Precision::Fp32);
+                w.global_load(fa, BufferId(0), 0, 0);
+                w.global_load(fb, BufferId(1), 0, 0);
+                w.zero_acc(fd);
+                if of_a {
+                    w.mma_a_cols(fd, fa, fb, start, 1);
+                } else {
+                    w.mma_b_rows(fd, fa, fb, start, 1);
+                }
+            })
+        };
+        for of_a in [true, false] {
+            // A start whose end overflows `usize` is out of bounds.
+            let legacy = check_every_backend(&sliced(usize::MAX, of_a), build);
+            assert!(
+                matches!(legacy, Err(SimError::BadOperand { .. })),
+                "{legacy:?}"
+            );
+            // The last in-range slice runs.
+            check_every_backend(&sliced(3, of_a), build).unwrap();
+        }
+    }
 }

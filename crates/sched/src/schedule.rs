@@ -269,16 +269,18 @@ impl<'a> Scheduler<'a> {
         let dp_makespan = makespan(&dp);
 
         // Splitting (Stream-K or Skinny-K) needs ≥ 2 stages to split at.
+        let per_iter = steady / g as f64;
         let split = |tree: bool| {
+            let space = Iters::Uniform { items: count, g };
             streamk_plans(
-                count,
-                g,
+                space,
                 sms,
-                steady,
-                cost.flops,
-                cost.c_tile_bytes,
-                fixup_cycles,
+                (cost.c_tile_bytes, fixup_cycles),
                 tree,
+                |iters| {
+                    let flops = (cost.flops as f64 * iters as f64 / g as f64) as u64;
+                    (iters as f64 * per_iter, flops)
+                },
             )
         };
 
@@ -343,7 +345,9 @@ impl<'a> Scheduler<'a> {
         };
         plans.record_decomposition_costed(self.device, &item, self.cost.as_ref(), chosen);
 
-        let report = self.finish(
+        let report = build_report(
+            self.device,
+            self.decomposition,
             chosen,
             g,
             work.total_flops(),
@@ -376,61 +380,21 @@ impl<'a> Scheduler<'a> {
             entries.push(entry);
         }
 
-        // LPT: heaviest block first onto the least-loaded SM.
-        let mut order: Vec<usize> = (0..work.len()).collect();
-        order.sort_by(|&i, &j| {
-            entries[j]
-                .cost
-                .steady_cycles()
-                .partial_cmp(&entries[i].cost.steady_cycles())
-                .expect("finite")
-        });
-        let mut sm_plans: Vec<SmPlan> = (0..sms)
-            .map(|sm| SmPlan {
-                sm,
-                segments: Vec::new(),
-            })
-            .collect();
-        let mut loads = vec![0.0f64; sms];
-        for block in order {
-            let sm = loads
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(i, _)| i)
-                .expect("at least one SM");
-            let cost = &entries[block].cost;
-            loads[sm] += cost.steady_cycles();
-            sm_plans[sm].segments.push(Segment::Block {
+        let sm_plans = lpt_plans(
+            sms,
+            work.len(),
+            |i| entries[i].cost.steady_cycles(),
+            |i| entries[i].cost.serial_cycles,
+            |block| Segment::Block {
                 block,
-                cycles: cost.steady_cycles(),
-                flops: cost.flops,
-            });
-        }
-        // A lone block cannot finish faster than its serial latency:
-        // floor each SM at the largest serial among its blocks.
-        for (plan, load) in sm_plans.iter_mut().zip(&mut loads) {
-            let serial_floor = plan
-                .segments
-                .iter()
-                .map(|s| match *s {
-                    Segment::Block { block, .. } => entries[block].cost.serial_cycles,
-                    _ => 0.0,
-                })
-                .fold(0.0f64, f64::max);
-            if *load > 0.0 && *load < serial_floor {
-                let scale = serial_floor / *load;
-                for seg in &mut plan.segments {
-                    if let Segment::Block { cycles, .. } = seg {
-                        *cycles *= scale;
-                    }
-                }
-                *load = serial_floor;
-            }
-        }
-
+                cycles: entries[block].cost.steady_cycles(),
+                flops: entries[block].cost.flops,
+            },
+        );
         let span = makespan(&sm_plans);
-        let report = self.finish(
+        let report = build_report(
+            self.device,
+            self.decomposition,
             Decomposition::DataParallel,
             1,
             work.total_flops(),
@@ -439,27 +403,6 @@ impl<'a> Scheduler<'a> {
             (reused, tuned),
         );
         Ok((report, sm_plans))
-    }
-
-    fn finish(
-        &self,
-        chosen: Decomposition,
-        k_stages: usize,
-        useful_flops: u64,
-        span: f64,
-        sm_plans: &[SmPlan],
-        counts: (usize, usize),
-    ) -> ScheduleReport {
-        build_report(
-            self.device,
-            self.decomposition,
-            chosen,
-            k_stages,
-            useful_flops,
-            span,
-            sm_plans,
-            counts,
-        )
     }
 }
 
@@ -536,49 +479,143 @@ pub(crate) fn makespan(plans: &[SmPlan]) -> f64 {
     plans.iter().map(SmPlan::busy).fold(0.0f64, f64::max)
 }
 
-/// Data-parallel placement: round-robin, `n_i` blocks each. With
-/// `resident` blocks overlapping, `n_i` blocks cost `n_i · steady`
-/// cycles — but never less than one serialized pass.
-fn dp_plans(count: usize, sms: usize, steady: f64, serial: f64, flops: u64) -> Vec<SmPlan> {
+/// `sms` idle SMs — every placement starts here.
+pub(crate) fn empty_plans(sms: usize) -> Vec<SmPlan> {
     (0..sms)
-        .map(|sm| {
-            let n = count / sms + usize::from(sm < count % sms);
-            let busy = (n as f64 * steady).max(if n > 0 { serial } else { 0.0 });
-            let per_block = if n > 0 { busy / n as f64 } else { 0.0 };
-            SmPlan {
-                sm,
-                segments: (0..n)
-                    .map(|j| Segment::Block {
-                        block: sm + j * sms,
-                        cycles: per_block,
-                        flops,
-                    })
-                    .collect(),
-            }
+        .map(|sm| SmPlan {
+            sm,
+            segments: Vec::new(),
         })
         .collect()
 }
 
-/// Stream-K placement: the `count · g` k-loop iterations are divided
-/// contiguously and near-evenly; each iteration costs `steady / g`.
-/// A block straddling an SM boundary incurs a fixup: every non-owner
-/// chunk spills the partial C tile (`FixupStore` on its SM) and the
-/// owner reloads and reduces each partial (`FixupLoad`) — serially
-/// with `tree` unset, in `⌈log₂(partials+1)⌉` pairwise rounds
-/// (Skinny-K) with it set. The tree moves the same bytes; only the
-/// owner's critical path shortens.
-#[allow(clippy::too_many_arguments)]
-fn streamk_plans(
-    count: usize,
-    g: usize,
+/// Data-parallel placement: round-robin, `n_i` blocks each. With
+/// `resident` blocks overlapping, `n_i` blocks cost `n_i · steady`
+/// cycles — but never less than one serialized pass.
+fn dp_plans(count: usize, sms: usize, steady: f64, serial: f64, flops: u64) -> Vec<SmPlan> {
+    let mut plans = empty_plans(sms);
+    for (sm, plan) in plans.iter_mut().enumerate() {
+        let n = count / sms + usize::from(sm < count % sms);
+        let busy = (n as f64 * steady).max(if n > 0 { serial } else { 0.0 });
+        let per_block = if n > 0 { busy / n as f64 } else { 0.0 };
+        plan.segments = (0..n)
+            .map(|j| Segment::Block {
+                block: sm + j * sms,
+                cycles: per_block,
+                flops,
+            })
+            .collect();
+    }
+    plans
+}
+
+/// LPT placement, shared by dense ragged and sparse streams: items
+/// heaviest-first (by `weight`, stable on ties) onto the least-loaded
+/// SM, each placed as the `segment` its caller builds, then every SM
+/// floored at its items' `serial` latency ([`apply_serial_floor`]).
+pub(crate) fn lpt_plans<W: PartialOrd>(
     sms: usize,
-    steady: f64,
-    flops: u64,
-    c_tile_bytes: u64,
-    fixup_cycles: f64,
-    tree: bool,
+    items: usize,
+    weight: impl Fn(usize) -> W,
+    serial: impl Fn(usize) -> f64,
+    segment: impl Fn(usize) -> Segment,
 ) -> Vec<SmPlan> {
-    let total = count * g;
+    let mut order: Vec<usize> = (0..items).collect();
+    order.sort_by(|&i, &j| weight(j).partial_cmp(&weight(i)).expect("finite"));
+    let mut plans = empty_plans(sms);
+    let mut loads = vec![0.0f64; sms];
+    for item in order {
+        let sm = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+            .map(|(i, _)| i)
+            .expect("at least one SM");
+        let seg = segment(item);
+        loads[sm] += seg.cycles();
+        plans[sm].segments.push(seg);
+    }
+    apply_serial_floor(&mut plans, serial);
+    plans
+}
+
+/// A lone item cannot finish faster than its serial latency: scale
+/// each busy SM's compute segments (never its fixup traffic) up to the
+/// largest `serial` among the items it computes.
+pub(crate) fn apply_serial_floor(plans: &mut [SmPlan], serial: impl Fn(usize) -> f64) {
+    for plan in plans {
+        let busy = plan.busy();
+        let floor = plan
+            .segments
+            .iter()
+            .map(|s| match *s {
+                Segment::Block { block, .. } | Segment::Chunk { block, .. } => serial(block),
+                _ => 0.0,
+            })
+            .fold(0.0f64, f64::max);
+        if busy > 0.0 && busy < floor {
+            let scale = floor / busy;
+            for seg in &mut plan.segments {
+                if let Segment::Block { cycles, .. } | Segment::Chunk { cycles, .. } = seg {
+                    *cycles *= scale;
+                }
+            }
+        }
+    }
+}
+
+/// The flat k-iteration space a Stream-K partition splits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Iters<'a> {
+    /// `items` blocks of `g` iterations each (dense uniform streams).
+    Uniform { items: usize, g: usize },
+    /// Item `i` spans `prefix[i]..prefix[i + 1]` (sparse nnz prefix sums).
+    Ragged(&'a [usize]),
+}
+
+impl Iters<'_> {
+    /// First global iteration of item `i` (`i` = item count: the total).
+    fn start(self, i: usize) -> usize {
+        match self {
+            Iters::Uniform { g, .. } => i * g,
+            Iters::Ragged(prefix) => prefix[i],
+        }
+    }
+
+    fn total(self) -> usize {
+        match self {
+            Iters::Uniform { items, g } => items * g,
+            Iters::Ragged(prefix) => prefix[prefix.len() - 1],
+        }
+    }
+
+    /// The item whose range holds iteration `iter`.
+    fn item_at(self, iter: usize) -> usize {
+        match self {
+            Iters::Uniform { g, .. } => iter / g,
+            Iters::Ragged(prefix) => prefix.partition_point(|&p| p <= iter) - 1,
+        }
+    }
+}
+
+/// Stream-K placement, shared by dense and sparse streams: the flat
+/// iteration space is divided contiguously and near-evenly across SMs,
+/// each SM's share cut into per-item chunks priced by `chunk`
+/// (`iters → (cycles, flops)`). An item straddling an SM boundary
+/// incurs a fixup of `fixup = (tile bytes, cycles per transfer)`:
+/// every non-owner chunk spills the partial C tile (`FixupStore` on
+/// its SM) and the owner reloads and reduces each partial
+/// (`FixupLoad`) — serially, or in `⌈log₂(partials+1)⌉` pairwise
+/// rounds with `tree` (Skinny-K), which moves the same bytes on a
+/// shorter critical path.
+pub(crate) fn streamk_plans(
+    space: Iters,
+    sms: usize,
+    (fixup_bytes, fixup_cycles): (u64, f64),
+    tree: bool,
+    chunk: impl Fn(usize) -> (f64, u64),
+) -> Vec<SmPlan> {
+    let total = space.total();
     let base = total / sms;
     let rem = total % sms;
     let lo_of = |sm: usize| sm * base + sm.min(rem);
@@ -592,59 +629,51 @@ fn streamk_plans(
             rem + (iter - rem * (base + 1)) / base
         }
     };
-    let per_iter = steady / g as f64;
 
-    (0..sms)
-        .map(|sm| {
-            let lo = lo_of(sm);
-            let hi = lo_of(sm + 1);
-            let mut segments = Vec::new();
-            let mut block = lo / g;
-            while block * g < hi && lo < hi {
-                let b_lo = block * g;
-                let b_hi = b_lo + g;
-                let start = lo.max(b_lo);
-                let end = hi.min(b_hi);
-                let iters = end - start;
-                let owner = start == b_lo;
-                segments.push(Segment::Chunk {
-                    block,
-                    iters: (start - b_lo, end - b_lo),
-                    owner,
-                    cycles: iters as f64 * per_iter,
-                    flops: (flops as f64 * iters as f64 / g as f64) as u64,
+    let mut plans = empty_plans(sms);
+    for (sm, plan) in plans.iter_mut().enumerate() {
+        let (lo, hi) = (lo_of(sm), lo_of(sm + 1));
+        let mut item = space.item_at(lo);
+        while space.start(item) < hi {
+            let (b_lo, b_hi) = (space.start(item), space.start(item + 1));
+            let start = lo.max(b_lo);
+            let end = hi.min(b_hi);
+            let owner = start == b_lo;
+            let (cycles, flops) = chunk(end - start);
+            plan.segments.push(Segment::Chunk {
+                block: item,
+                iters: (start - b_lo, end - b_lo),
+                owner,
+                cycles,
+                flops,
+            });
+            if !owner {
+                // Non-owner chunk: spill the partial tile.
+                plan.segments.push(Segment::FixupStore {
+                    block: item,
+                    bytes: fixup_bytes,
+                    cycles: fixup_cycles,
                 });
-                if !owner {
-                    // Non-owner chunk: spill the partial tile.
-                    segments.push(Segment::FixupStore {
-                        block,
-                        bytes: c_tile_bytes,
-                        cycles: fixup_cycles,
-                    });
-                }
-                if owner && b_hi > hi {
-                    // This block spills onto later SMs; the owner
-                    // reloads and reduces one partial per extra chunk —
-                    // serially, or (tree) in pairwise rounds over its
-                    // own tile plus the `partials` spilled ones.
-                    let partials = sm_of(b_hi - 1) - sm;
-                    let rounds = if tree {
-                        kami_core::model::skinny::tree_depth(partials + 1)
-                    } else {
-                        partials
-                    };
-                    segments.push(Segment::FixupLoad {
-                        block,
-                        partials,
-                        bytes: c_tile_bytes * partials as u64,
-                        cycles: fixup_cycles * rounds as f64,
-                    });
-                }
-                block += 1;
+            } else if b_hi > hi {
+                // This item spills onto later SMs; the owner reloads
+                // and reduces one partial per extra chunk.
+                let partials = sm_of(b_hi - 1) - sm;
+                let rounds = if tree {
+                    kami_core::model::skinny::tree_depth(partials + 1)
+                } else {
+                    partials
+                };
+                plan.segments.push(Segment::FixupLoad {
+                    block: item,
+                    partials,
+                    bytes: fixup_bytes * partials as u64,
+                    cycles: fixup_cycles * rounds as f64,
+                });
             }
-            SmPlan { sm, segments }
-        })
-        .collect()
+            item += 1;
+        }
+    }
+    plans
 }
 
 /// Merge per-SM placements into one device-level trace: one track per

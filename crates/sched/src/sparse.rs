@@ -16,11 +16,12 @@
 //!   traffic with [`kami_sparse::model`]'s metadata accounting;
 //! * the nnz-aware Stream-K decomposition splits the flat *nonzero*
 //!   iteration space — `Σᵢ nnzᵢ` iterations, not `items · k_dense` —
-//!   contiguously across SMs with the same fixup-pass accounting as
-//!   the dense path (non-owner chunks spill the partial C tile, the
+//!   contiguously across SMs through the dense path's own partition
+//!   and fixup code ([`crate::schedule`]'s `streamk_plans` over nnz
+//!   prefix sums: non-owner chunks spill the partial C tile, the
 //!   owner reloads and reduces each partial in ascending k order),
-//!   falling back to weighted LPT when skew makes whole-item
-//!   placement cheaper than fixup traffic.
+//!   falling back to weighted LPT — the dense ragged path's placer —
+//!   when skew makes whole-item placement cheaper than fixup traffic.
 //!
 //! The scheduled entry points ([`spmm_scheduled`], [`spgemm_scheduled`])
 //! run the *same* single-kernel sparse engines as the unscheduled ones
@@ -31,7 +32,8 @@
 use crate::error::SchedError;
 use crate::plan::PlanCache;
 use crate::schedule::{
-    build_report, build_trace, makespan, Decomposition, ScheduleReport, Scheduler, Segment, SmPlan,
+    apply_serial_floor, build_report, build_trace, empty_plans, lpt_plans, makespan, streamk_plans,
+    Decomposition, Iters, ScheduleReport, Scheduler, Segment, SmPlan,
 };
 use crate::scheduled::{ScheduledSpgemm, ScheduledSpmm};
 use crate::work::WorkItem;
@@ -298,11 +300,43 @@ impl<'a> Scheduler<'a> {
         let (cost, hit) =
             SparseCost::from_plans_costed(self.device, plans, work, self.cost.as_ref())?;
 
-        let dp = sparse_dp_plans(work, sms, &cost);
+        let serial = |_| cost.unit_serial_cycles;
+        let whole = |idx: usize| {
+            let nnz = work.items[idx].nnz;
+            Segment::Chunk {
+                block: idx,
+                iters: (0, nnz),
+                owner: true,
+                cycles: cost.item_cycles(nnz),
+                flops: nnz as u64 * cost.unit_flops,
+            }
+        };
+
+        // Data-parallel: whole items round-robin in output order — the
+        // quantized baseline that eats the full nnz skew.
+        let mut dp = empty_plans(sms);
+        for idx in 0..work.len() {
+            dp[idx % sms].segments.push(whole(idx));
+        }
+        apply_serial_floor(&mut dp, serial);
         let dp_ms = makespan(&dp);
-        let lpt = sparse_lpt_plans(work, sms, &cost);
+        // Weighted LPT: no fixup traffic, but a single dominant item
+        // still bounds the makespan from below.
+        let lpt = lpt_plans(sms, work.len(), |i| work.items[i].nnz, serial, whole);
         let lpt_ms = makespan(&lpt);
-        let sk = sparse_streamk_plans(work, sms, &cost);
+        // nnz-aware Stream-K over the ragged space of nonzero
+        // iterations: item boundaries fall wherever the prefix sums put
+        // them.
+        let mut prefix = vec![0];
+        for item in &work.items {
+            prefix.push(prefix[prefix.len() - 1] + item.nnz);
+        }
+        let fixup = (cost.c_tile_bytes, cost.fixup_cycles);
+        let mut sk = streamk_plans(Iters::Ragged(&prefix), sms, fixup, false, |iters| {
+            let cycles = iters as f64 * cost.per_iter_cycles + cost.meta_cycles(iters);
+            (cycles, iters as u64 * cost.unit_flops)
+        });
+        apply_serial_floor(&mut sk, serial);
         let sk_ms = makespan(&sk);
 
         let (chosen, sm_plans, span) = match self.decomposition {
@@ -363,161 +397,6 @@ impl<'a> Scheduler<'a> {
         };
         Ok((report, sm_plans))
     }
-}
-
-/// No SM that runs work finishes faster than one unit's serialized
-/// latency: scale its chunks up to the floor (mirrors the dense ragged
-/// path's serial floor).
-fn apply_serial_floor(plans: &mut [SmPlan], serial: f64) {
-    for plan in plans.iter_mut() {
-        let busy = plan.busy();
-        if busy > 0.0 && busy < serial {
-            let scale = serial / busy;
-            for seg in &mut plan.segments {
-                if let Segment::Chunk { cycles, .. } = seg {
-                    *cycles *= scale;
-                }
-            }
-        }
-    }
-}
-
-fn empty_plans(sms: usize) -> Vec<SmPlan> {
-    (0..sms)
-        .map(|sm| SmPlan {
-            sm,
-            segments: Vec::new(),
-        })
-        .collect()
-}
-
-/// Data-parallel: whole items round-robin in output order — the
-/// quantized baseline that eats the full nnz skew (the SM drawing a
-/// dense block row waits on it alone).
-fn sparse_dp_plans(work: &SparseWork, sms: usize, cost: &SparseCost) -> Vec<SmPlan> {
-    let mut plans = empty_plans(sms);
-    for (idx, item) in work.items.iter().enumerate() {
-        plans[idx % sms].segments.push(Segment::Chunk {
-            block: idx,
-            iters: (0, item.nnz),
-            owner: true,
-            cycles: cost.item_cycles(item.nnz),
-            flops: item.nnz as u64 * cost.unit_flops,
-        });
-    }
-    apply_serial_floor(&mut plans, cost.unit_serial_cycles);
-    plans
-}
-
-/// Weighted LPT: whole items, heaviest first onto the least-loaded SM.
-/// No fixup traffic, but a single dominant item still bounds the
-/// makespan from below.
-fn sparse_lpt_plans(work: &SparseWork, sms: usize, cost: &SparseCost) -> Vec<SmPlan> {
-    let mut order: Vec<usize> = (0..work.len()).collect();
-    order.sort_by(|&i, &j| work.items[j].nnz.cmp(&work.items[i].nnz));
-    let mut plans = empty_plans(sms);
-    let mut loads = vec![0.0f64; sms];
-    for idx in order {
-        let sm = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .map(|(i, _)| i)
-            .expect("at least one SM");
-        let item = &work.items[idx];
-        let cycles = cost.item_cycles(item.nnz);
-        loads[sm] += cycles;
-        plans[sm].segments.push(Segment::Chunk {
-            block: idx,
-            iters: (0, item.nnz),
-            owner: true,
-            cycles,
-            flops: item.nnz as u64 * cost.unit_flops,
-        });
-    }
-    apply_serial_floor(&mut plans, cost.unit_serial_cycles);
-    plans
-}
-
-/// nnz-aware Stream-K: the flat pool of `Σᵢ nnzᵢ` nonzero k-iterations
-/// is divided contiguously and near-evenly across SMs — the same
-/// balanced partition as the dense path, but over a *ragged* iteration
-/// space (item boundaries fall wherever the prefix sums put them).
-/// Fixup accounting is identical to the dense scheduler: a non-owner
-/// chunk spills its partial C tile, and the owner reloads and reduces
-/// one partial per spilled chunk in ascending k order.
-fn sparse_streamk_plans(work: &SparseWork, sms: usize, cost: &SparseCost) -> Vec<SmPlan> {
-    let total = work.total_nnz();
-    let base = total / sms;
-    let rem = total % sms;
-    let lo_of = |sm: usize| sm * base + sm.min(rem);
-    let sm_of = |iter: usize| {
-        // Inverse of `lo_of` for the balanced contiguous partition.
-        if base == 0 {
-            iter
-        } else if iter < rem * (base + 1) {
-            iter / (base + 1)
-        } else {
-            rem + (iter - rem * (base + 1)) / base
-        }
-    };
-    // prefix[i] = first global iteration of item i.
-    let mut prefix = Vec::with_capacity(work.len() + 1);
-    let mut acc = 0usize;
-    for item in &work.items {
-        prefix.push(acc);
-        acc += item.nnz;
-    }
-    prefix.push(acc);
-
-    let mut plans: Vec<SmPlan> = (0..sms)
-        .map(|sm| {
-            let lo = lo_of(sm);
-            let hi = lo_of(sm + 1);
-            let mut segments = Vec::new();
-            if lo < hi {
-                // First item whose range overlaps `lo`.
-                let mut idx = prefix.partition_point(|&p| p <= lo) - 1;
-                while idx < work.len() && prefix[idx] < hi {
-                    let b_lo = prefix[idx];
-                    let b_hi = prefix[idx + 1];
-                    let start = lo.max(b_lo);
-                    let end = hi.min(b_hi);
-                    let iters = end - start;
-                    let owner = start == b_lo;
-                    segments.push(Segment::Chunk {
-                        block: idx,
-                        iters: (start - b_lo, end - b_lo),
-                        owner,
-                        cycles: iters as f64 * cost.per_iter_cycles + cost.meta_cycles(iters),
-                        flops: iters as u64 * cost.unit_flops,
-                    });
-                    if !owner {
-                        segments.push(Segment::FixupStore {
-                            block: idx,
-                            bytes: cost.c_tile_bytes,
-                            cycles: cost.fixup_cycles,
-                        });
-                    }
-                    if owner && b_hi > hi {
-                        // This item spills onto later SMs; the owner
-                        // reduces one partial per extra chunk.
-                        let partials = sm_of(b_hi - 1) - sm;
-                        segments.push(Segment::FixupLoad {
-                            block: idx,
-                            partials,
-                            bytes: cost.c_tile_bytes * partials as u64,
-                            cycles: cost.fixup_cycles * partials as f64,
-                        });
-                    }
-                    idx += 1;
-                }
-            }
-            SmPlan { sm, segments }
-        })
-        .collect();
-    apply_serial_floor(&mut plans, cost.unit_serial_cycles);
-    plans
 }
 
 /// Run SpMM under the device scheduler: derive the nnz-weighted work
