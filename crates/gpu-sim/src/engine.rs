@@ -1,9 +1,13 @@
-//! Phase-stepped block executor.
+//! Block-kernel engine: static analysis and the functional op.
 //!
-//! Executes a [`BlockKernel`] with full functional semantics (values
-//! actually move between global memory, shared memory, and register
-//! fragments; tensor cores perform real quantized arithmetic) while
-//! tallying the resource use that [`crate::cost`] converts to cycles.
+//! [`Engine`] owns the device and cost model every pass runs under. This
+//! module holds what the passes share about single ops — the functional
+//! op step `exec_op` (values really move between global memory, shared
+//! memory and register fragments; tensor cores perform real quantized
+//! arithmetic), the MMA legality checks, the uninitialized-fragment
+//! check — plus the register analyses, and the oracle [`Engine::run`]:
+//! [`Engine::plan`] followed by the accounting walk of
+//! [`crate::passes`] with the functional op.
 //!
 //! Legality checks mirror the CUDA programming model:
 //! * all warps must reach the same number of barriers,
@@ -12,18 +16,18 @@
 //! * fragments must be written before read,
 //! * register and shared-memory footprints must fit the device.
 
-use crate::cost::{phase_cost, CostConfig, PhaseCost, PhaseTally};
+use crate::cost::CostConfig;
 use crate::device::DeviceSpec;
 use crate::error::SimError;
 use crate::fragment::{FragDecl, FragValue};
 use crate::memory::global::GlobalMemory;
 use crate::memory::regfile::{self, LiveRange, RegisterUsage};
-use crate::memory::shared::SharedMemory;
+use crate::passes::walk::Walk;
 use crate::passes::{native, BackendKind};
 use crate::program::{BlockKernel, Op, UnaryFunc, WarpProgram};
 use crate::report::ExecutionReport;
 use crate::tensor_core::{mma_fragment, shape_for, MmaShape};
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::trace::Trace;
 
 /// Executes block kernels on one simulated SM of a device.
 pub struct Engine<'a> {
@@ -87,13 +91,14 @@ impl<'a> Engine<'a> {
     /// Run the kernel to completion; returns the cycle/traffic report.
     /// Global buffers in `gmem` are mutated by `GlobalStore` ops.
     ///
-    /// This is the legacy single-loop interpreter that interleaves cycle
-    /// accounting with functional numerics op by op. The split pipeline
-    /// ([`Self::plan`] → [`Self::cost`] → [`Self::execute_with`], or
-    /// [`Self::run_kernel`] for the one-call form) produces bit-identical
-    /// results and reports on every backend; this path is kept as the
-    /// differential oracle (`kami-verify`'s `ExecParity` check holds the
-    /// two together).
+    /// The differential oracle: [`Self::plan`], then the cost pass's
+    /// accounting walk stepping with the functional op on the reference
+    /// MMA, so values move while the walk charges them. The split
+    /// pipeline ([`Self::plan`] → [`Self::cost`] → [`Self::execute_with`],
+    /// or [`Self::run_kernel`] for the one-call form) produces
+    /// bit-identical results and reports on every backend; `kami-verify`'s
+    /// `ExecParity` check holds the two op semantics together, and
+    /// `tests/data/engine_golden.json` pins the walk.
     pub fn run(
         &self,
         kernel: &BlockKernel,
@@ -110,185 +115,20 @@ impl<'a> Engine<'a> {
         kernel: &BlockKernel,
         gmem: &mut GlobalMemory,
     ) -> Result<(ExecutionReport, Trace), SimError> {
-        let mut trace = Trace {
-            device: self.device.name.to_string(),
-            mode: Some(self.cost.mode),
-            ..Default::default()
-        };
-        let report = self.run_inner(kernel, gmem, Some(&mut trace))?;
-        Ok((report, trace))
+        self.traced(|trace| self.run_inner(kernel, gmem, trace))
     }
 
     fn run_inner(
         &self,
         kernel: &BlockKernel,
         gmem: &mut GlobalMemory,
-        mut trace: Option<&mut Trace>,
+        trace: Option<&mut Trace>,
     ) -> Result<ExecutionReport, SimError> {
-        let p = kernel.num_warps();
-        let max_warps = self.device.max_warps_per_block() as usize;
-        if p == 0 || p > max_warps {
-            return Err(SimError::BadWarpCount {
-                warps: p,
-                max: max_warps,
-            });
-        }
-
-        // Barrier alignment.
-        let expected_phases = kernel.warps[0].barrier_count() + 1;
-        for (i, w) in kernel.warps.iter().enumerate() {
-            let phases = w.barrier_count() + 1;
-            if phases != expected_phases {
-                return Err(SimError::BarrierMismatch {
-                    warp: i,
-                    phases,
-                    expected: expected_phases,
-                });
-            }
-        }
-
-        // Register budget.
-        let registers_per_warp = self.analyze_registers(kernel);
-        for (i, usage) in registers_per_warp.iter().enumerate() {
-            if usage.measured_regs > self.device.max_regs_per_thread {
-                return Err(SimError::RegisterOverflow {
-                    warp: i,
-                    needed: usage.measured_regs,
-                    limit: self.device.max_regs_per_thread,
-                });
-            }
-        }
-
-        let (mut smem, mut frags) = self.kernel_state(kernel);
-        // Per-warp cursor into its op list.
-        let mut cursors = vec![0usize; p];
-
-        let gmem_read0 = gmem.bytes_read();
-        let gmem_written0 = gmem.bytes_written();
-
-        let mut phase_costs: Vec<PhaseCost> = Vec::with_capacity(expected_phases);
-        let mut flops_charged = 0u64;
-
-        let mut clock = 0.0f64;
-        if let Some(t) = trace.as_deref_mut() {
-            t.phase_starts.push(0.0);
-        }
-        for phase in 0..expected_phases {
-            let mut tally = PhaseTally::default();
-            // (warp, byte range) pairs for race detection.
-            let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
-            let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
-            // Raw per-op records for the trace: (warp, kind, amount, detail).
-            let mut raw_events: Vec<(usize, TraceKind, u64, String)> = Vec::new();
-
-            #[allow(clippy::needless_range_loop)] // warp id is semantic, not positional
-            for w in 0..p {
-                let prog = &kernel.warps[w];
-                let mut warp_flops: std::collections::BTreeMap<crate::precision::Precision, u64> =
-                    std::collections::BTreeMap::new();
-                loop {
-                    if cursors[w] >= prog.ops.len() {
-                        break;
-                    }
-                    let op = prog.ops[cursors[w]].clone();
-                    cursors[w] += 1;
-                    if matches!(op, Op::Barrier) {
-                        break;
-                    }
-                    let before = flops_charged;
-                    let before_tally = (
-                        tally.smem_bytes_written,
-                        tally.smem_bytes_read,
-                        tally.gmem_bytes,
-                    );
-                    let mma_prec = if let Op::Mma { a, .. } = op {
-                        prog.frags.get(a).map(|d| d.precision)
-                    } else {
-                        None
-                    };
-                    self.exec_op(
-                        BackendKind::Sim,
-                        w,
-                        prog,
-                        &op,
-                        gmem,
-                        &mut smem,
-                        &mut frags[w],
-                        &mut tally,
-                        &mut writes,
-                        &mut reads,
-                        &mut flops_charged,
-                    )?;
-                    if let Some(prec) = mma_prec {
-                        *warp_flops.entry(prec).or_insert(0) += flops_charged - before;
-                    }
-                    if trace.is_some() {
-                        let (kind, detail) = describe_op(prog, &op);
-                        let amount = match op {
-                            Op::Mma { .. } => flops_charged - before,
-                            Op::GlobalLoad { .. } | Op::GlobalStore { .. } => {
-                                tally.gmem_bytes - before_tally.2
-                            }
-                            _ => {
-                                (tally.smem_bytes_written - before_tally.0)
-                                    + (tally.smem_bytes_read - before_tally.1)
-                            }
-                        };
-                        raw_events.push((w, kind, amount, detail));
-                    }
-                }
-                for (prec, total) in warp_flops {
-                    tally.note_warp_flops(prec, total);
-                }
-            }
-
-            // Same-phase cross-warp race detection.
-            detect_races(&writes, &reads)?;
-
-            let pc = phase_cost(self.device, &self.cost, &tally)?;
-            if let Some(t) = trace.as_deref_mut() {
-                self.layout_phase_trace(t, phase, clock, &raw_events);
-            }
-            clock += pc.cycles(self.cost.mode);
-            if let Some(t) = trace.as_deref_mut() {
-                t.phase_starts.push(clock);
-            }
-            phase_costs.push(pc);
-        }
-
-        let mut totals = PhaseCost::default();
-        for pc in &phase_costs {
-            totals.accumulate(pc);
-        }
-        let cycles = phase_costs.iter().map(|c| c.cycles(self.cost.mode)).sum();
-
-        Ok(ExecutionReport {
-            device_name: self.device.name.to_string(),
-            warps: p,
-            mode: self.cost.mode,
-            phase_costs,
-            totals,
-            cycles,
-            flops_charged,
-            smem_bytes_written: smem.bytes_written(),
-            smem_bytes_read: smem.bytes_read(),
-            smem_extent: smem.peak_extent(),
-            gmem_bytes_read: gmem.bytes_read() - gmem_read0,
-            gmem_bytes_written: gmem.bytes_written() - gmem_written0,
-            registers_per_warp,
+        let plan = self.plan(kernel)?;
+        let mut frags = fresh_frags(kernel);
+        self.account(&plan, trace, |w, prog, op, walk| {
+            self.exec_op(BackendKind::Sim, w, prog, op, gmem, &mut frags[w], walk)
         })
-    }
-
-    /// Fresh runtime state of one kernel: empty shared memory plus every
-    /// warp's declared fragments, uninitialized.
-    pub(crate) fn kernel_state(&self, kernel: &BlockKernel) -> (SharedMemory, Vec<Vec<FragValue>>) {
-        let smem = SharedMemory::new(self.device.smem_capacity);
-        let frags = kernel
-            .warps
-            .iter()
-            .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
-            .collect();
-        (smem, frags)
     }
 
     /// Execute one op of warp `w` with full functional semantics. The
@@ -302,12 +142,8 @@ impl<'a> Engine<'a> {
         prog: &WarpProgram,
         op: &Op,
         gmem: &mut GlobalMemory,
-        smem: &mut SharedMemory,
         warp_frags: &mut [FragValue],
-        tally: &mut PhaseTally,
-        writes: &mut Vec<(usize, (usize, usize))>,
-        reads: &mut Vec<(usize, (usize, usize))>,
-        flops_charged: &mut u64,
+        walk: &mut Walk,
     ) -> Result<(), SimError> {
         match *op {
             Op::GlobalLoad {
@@ -321,8 +157,7 @@ impl<'a> Engine<'a> {
                 let bytes = rows * cols * gmem.precision(buf).size_bytes();
                 let values = gmem.read_window(buf, row0, col0, rows, cols);
                 warp_frags[dst].store(&values);
-                tally.gmem_bytes += bytes as u64;
-                tally.has_gmem_load = true;
+                walk.charge_global_load(bytes);
             }
             Op::GlobalStore {
                 src,
@@ -332,48 +167,36 @@ impl<'a> Engine<'a> {
                 accumulate,
             } => {
                 require_init(warp_frags, src, w, prog)?;
-                let (rows, cols) = {
-                    let d = &warp_frags[src].decl;
-                    (d.rows, d.cols)
-                };
+                let (rows, cols) = (warp_frags[src].decl.rows, warp_frags[src].decl.cols);
                 let bytes = rows * cols * gmem.precision(buf).size_bytes();
                 let data = warp_frags[src].data.clone();
                 gmem.write_window(buf, row0, col0, rows, cols, &data, accumulate);
-                tally.gmem_bytes += bytes as u64;
-                if accumulate {
-                    // RMW reads too.
-                    tally.gmem_bytes += bytes as u64;
-                    tally.has_gmem_load = true;
-                }
+                walk.charge_global_store(bytes, accumulate);
             }
             Op::SharedStore { src, addr } => {
                 require_init(warp_frags, src, w, prog)?;
                 let elem = warp_frags[src].decl.precision.size_bytes();
                 let n = warp_frags[src].decl.elems();
                 let data = warp_frags[src].data.clone();
-                smem.store(addr, elem, &data)
+                walk.smem
+                    .store(addr, elem, &data)
                     .map_err(|detail| SimError::SharedMemoryOverflow { detail })?;
-                tally.smem_bytes_written += (n * elem) as u64;
-                writes.push((w, (addr, n * elem)));
+                walk.charge_smem_write(w, addr, n * elem);
             }
             Op::SharedLoad { dst, addr } => {
                 let decl = frag_decl(prog, dst)?;
                 let elem = decl.precision.size_bytes();
                 let n = decl.elems();
-                let values = smem
+                let values = walk
+                    .smem
                     .load(addr, elem, n)
                     .map_err(|detail| SimError::SharedMemoryFault { warp: w, detail })?;
                 warp_frags[dst].store(&values);
-                tally.smem_bytes_read += (n * elem) as u64;
-                tally.has_smem_load = true;
-                reads.push((w, (addr, n * elem)));
+                walk.charge_smem_read(w, addr, n * elem);
             }
             Op::RegCopy { dst, src } => {
                 require_init(warp_frags, src, w, prog)?;
-                let (sr, sc) = {
-                    let d = &warp_frags[src].decl;
-                    (d.rows, d.cols)
-                };
+                let (sr, sc) = (warp_frags[src].decl.rows, warp_frags[src].decl.cols);
                 let dd = frag_decl(prog, dst)?;
                 if (dd.rows, dd.cols) != (sr, sc) {
                     return Err(SimError::BadOperand {
@@ -385,7 +208,7 @@ impl<'a> Engine<'a> {
                 }
                 let data = warp_frags[src].data.clone();
                 warp_frags[dst].store(&data);
-                tally.reg_copies += 1;
+                walk.tally.reg_copies += 1;
             }
             Op::ZeroAcc { frag } => {
                 frag_decl(prog, frag)?;
@@ -401,9 +224,7 @@ impl<'a> Engine<'a> {
                 require_init(warp_frags, a, w, prog)?;
                 require_init(warp_frags, b, w, prog)?;
                 require_init(warp_frags, d, w, prog)?;
-                let flops =
-                    self.exec_mma(backend, prog, d, a, b, a_cols, b_rows, warp_frags, tally)?;
-                *flops_charged += flops;
+                self.exec_mma(backend, prog, d, a, b, a_cols, b_rows, warp_frags, walk)?;
             }
             Op::Scale { frag, factor } => {
                 require_init(warp_frags, frag, w, prog)?;
@@ -411,7 +232,7 @@ impl<'a> Engine<'a> {
                 for x in warp_frags[frag].data.iter_mut() {
                     *x = prec.round(*x * factor);
                 }
-                tally.reg_copies += 1;
+                walk.tally.reg_copies += 1;
             }
             Op::AddAssign { dst, src } => {
                 require_init(warp_frags, dst, w, prog)?;
@@ -430,7 +251,7 @@ impl<'a> Engine<'a> {
                 for (x, s) in warp_frags[dst].data.iter_mut().zip(src_data) {
                     *x = prec.round(*x + s);
                 }
-                tally.reg_copies += 1;
+                walk.tally.reg_copies += 1;
             }
             Op::Unary { frag, func } => {
                 require_init(warp_frags, frag, w, prog)?;
@@ -462,7 +283,7 @@ impl<'a> Engine<'a> {
                         }
                     }
                 }
-                tally.reg_copies += 1;
+                walk.tally.reg_copies += 1;
             }
             Op::AddRowBroadcast { dst, src } => {
                 require_init(warp_frags, dst, w, prog)?;
@@ -484,31 +305,10 @@ impl<'a> Engine<'a> {
                         *x = prec.round(*x + b);
                     }
                 }
-                tally.reg_copies += 1;
+                walk.tally.reg_copies += 1;
             }
-            Op::MetaStore { addr, bytes } => {
-                if meta_out_of_range(addr, bytes, smem.capacity()) {
-                    return Err(SimError::SharedMemoryOverflow {
-                        detail: format!("metadata at {addr}+{bytes} exceeds {} B", smem.capacity()),
-                    });
-                }
-                tally.smem_bytes_written += bytes as u64;
-                writes.push((w, (addr, bytes)));
-            }
-            Op::MetaLoad { addr, bytes } => {
-                if meta_out_of_range(addr, bytes, smem.capacity()) {
-                    return Err(SimError::SharedMemoryFault {
-                        warp: w,
-                        detail: format!(
-                            "metadata read at {addr}+{bytes} exceeds {} B",
-                            smem.capacity()
-                        ),
-                    });
-                }
-                tally.smem_bytes_read += bytes as u64;
-                tally.has_smem_load = true;
-                reads.push((w, (addr, bytes)));
-            }
+            Op::MetaStore { addr, bytes } => walk.meta(w, addr, bytes, false)?,
+            Op::MetaLoad { addr, bytes } => walk.meta(w, addr, bytes, true)?,
             Op::Barrier => unreachable!("barriers are consumed by the phase loop"),
         }
         Ok(())
@@ -531,8 +331,8 @@ impl<'a> Engine<'a> {
         a_cols: Option<(usize, usize)>,
         b_rows: Option<(usize, usize)>,
         warp_frags: &mut [FragValue],
-        tally: &mut PhaseTally,
-    ) -> Result<u64, SimError> {
+        walk: &mut Walk,
+    ) -> Result<(), SimError> {
         let MmaOperands {
             a: ad,
             b: bd,
@@ -572,8 +372,8 @@ impl<'a> Engine<'a> {
         for x in warp_frags[d].data.iter_mut() {
             *x = dp.round(*x);
         }
-        tally.add_flops(ad.precision, flops);
-        Ok(flops)
+        walk.add_mma_flops(ad.precision, flops);
+        Ok(())
     }
 
     /// The legality checks of one MMA `d += a[:, a_cols] · b[b_rows, :]`,
@@ -646,126 +446,6 @@ impl<'a> Engine<'a> {
             shape,
         })
     }
-
-    /// Lay one phase's raw op records onto the simulated clock: each
-    /// warp's ops run back to back from the phase start, each op sized by
-    /// its standalone cost (bytes over bandwidth, flops over one tensor
-    /// core, latency on the first load of the phase).
-    pub(crate) fn layout_phase_trace(
-        &self,
-        trace: &mut Trace,
-        phase: usize,
-        phase_start: f64,
-        raw: &[(usize, TraceKind, u64, String)],
-    ) {
-        let b_sm = self.device.smem_bytes_per_cycle();
-        let mut offsets: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        let mut first_load: std::collections::BTreeMap<usize, bool> =
-            std::collections::BTreeMap::new();
-        for (warp, kind, amount, detail) in raw {
-            let off = offsets.entry(*warp).or_insert(0.0);
-            let dur = match kind {
-                TraceKind::SharedStore | TraceKind::Meta => *amount as f64 / b_sm,
-                TraceKind::SharedLoad => {
-                    let fl = first_load.entry(*warp).or_insert(true);
-                    let lat = if *fl {
-                        self.device.smem_latency as f64
-                    } else {
-                        0.0
-                    };
-                    *fl = false;
-                    lat + *amount as f64 / b_sm
-                }
-                TraceKind::GlobalLoad => {
-                    self.device.gmem_latency as f64
-                        + *amount as f64 / self.device.gmem_bytes_per_cycle
-                }
-                TraceKind::GlobalStore => *amount as f64 / self.device.gmem_bytes_per_cycle,
-                TraceKind::RegCopy => self.device.reg_latency as f64,
-                TraceKind::Mma => {
-                    // One warp feeds one tensor core; the duration uses
-                    // the device's FP16 rate as a visualization scale
-                    // (per-precision rates differ by a constant factor).
-                    let per_tc = self
-                        .device
-                        .ops_per_cycle_per_tc(crate::precision::Precision::Fp16)
-                        .or_else(|| {
-                            self.device
-                                .ops_per_cycle_per_tc(crate::precision::Precision::Fp64)
-                        })
-                        .unwrap_or(1.0);
-                    *amount as f64 / per_tc
-                }
-                TraceKind::Barrier => 0.0,
-            };
-            trace.events.push(TraceEvent {
-                warp: *warp,
-                phase,
-                kind: *kind,
-                amount: *amount,
-                start: phase_start + *off,
-                duration: dur,
-                detail: detail.clone(),
-            });
-            *off += dur;
-        }
-    }
-}
-
-/// Trace kind + human-readable detail of one op.
-pub(crate) fn describe_op(prog: &WarpProgram, op: &Op) -> (TraceKind, String) {
-    let name = |id: usize| {
-        prog.frags
-            .get(id)
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| format!("frag{id}"))
-    };
-    match *op {
-        Op::GlobalLoad { dst, .. } => (TraceKind::GlobalLoad, name(dst)),
-        Op::GlobalStore {
-            src, accumulate, ..
-        } => (
-            TraceKind::GlobalStore,
-            if accumulate {
-                format!("{} (accumulate)", name(src))
-            } else {
-                name(src)
-            },
-        ),
-        Op::SharedStore { src, addr } => {
-            (TraceKind::SharedStore, format!("{} @{}", name(src), addr))
-        }
-        Op::SharedLoad { dst, addr } => (TraceKind::SharedLoad, format!("{} @{}", name(dst), addr)),
-        Op::RegCopy { dst, src } => (
-            TraceKind::RegCopy,
-            format!("{} <- {}", name(dst), name(src)),
-        ),
-        Op::ZeroAcc { frag } => (TraceKind::RegCopy, format!("zero {}", name(frag))),
-        Op::Mma { d, a, b, .. } => (
-            TraceKind::Mma,
-            format!("{} += {} x {}", name(d), name(a), name(b)),
-        ),
-        Op::Scale { frag, factor } => (TraceKind::RegCopy, format!("{} *= {factor}", name(frag))),
-        Op::AddAssign { dst, src } => (
-            TraceKind::RegCopy,
-            format!("{} += {}", name(dst), name(src)),
-        ),
-        Op::Unary { frag, func } => {
-            let f = match func {
-                UnaryFunc::Relu => "relu".to_string(),
-                UnaryFunc::Gelu => "gelu".to_string(),
-                UnaryFunc::Softmax { scale } => format!("softmax[{scale}]"),
-            };
-            (TraceKind::RegCopy, format!("{f}({})", name(frag)))
-        }
-        Op::AddRowBroadcast { dst, src } => (
-            TraceKind::RegCopy,
-            format!("{} += row {}", name(dst), name(src)),
-        ),
-        Op::MetaStore { bytes, .. } => (TraceKind::Meta, format!("meta store {bytes} B")),
-        Op::MetaLoad { bytes, .. } => (TraceKind::Meta, format!("meta load {bytes} B")),
-        Op::Barrier => (TraceKind::Barrier, String::new()),
-    }
 }
 
 /// A legal MMA's operands ([`Engine::check_mma`]): `d[m×n] +=
@@ -789,22 +469,52 @@ pub(crate) fn frag_decl(prog: &WarpProgram, id: usize) -> Result<&FragDecl, SimE
     })
 }
 
-fn require_init(
-    warp_frags: &[FragValue],
+/// Whether a fragment has been written: the functional engine's
+/// [`FragValue`] flag, or the cost pass's bare flag.
+pub(crate) trait Written {
+    fn written(&self) -> bool;
+}
+
+impl Written for FragValue {
+    fn written(&self) -> bool {
+        self.initialized
+    }
+}
+
+impl Written for bool {
+    fn written(&self) -> bool {
+        *self
+    }
+}
+
+/// The uninitialized-fragment check of every op that reads fragment
+/// `id` of warp `warp`.
+pub(crate) fn require_init(
+    frags: &[impl Written],
     id: usize,
     warp: usize,
     prog: &WarpProgram,
 ) -> Result<(), SimError> {
-    let fv = warp_frags.get(id).ok_or_else(|| SimError::BadOperand {
+    let frag = frags.get(id).ok_or_else(|| SimError::BadOperand {
         detail: format!("fragment id {id} out of range"),
     })?;
-    if !fv.initialized {
+    if !frag.written() {
         return Err(SimError::UninitializedFragment {
             warp,
             frag: prog.frags[id].name.clone(),
         });
     }
     Ok(())
+}
+
+/// Every warp's declared fragments, uninitialized: a kernel's fresh
+/// register state.
+pub(crate) fn fresh_frags(kernel: &BlockKernel) -> Vec<Vec<FragValue>> {
+    kernel
+        .warps
+        .iter()
+        .map(|w| w.frags.iter().cloned().map(FragValue::new).collect())
+        .collect()
 }
 
 /// Copy `rows` windows of `width` values, row `r` starting at
@@ -823,53 +533,6 @@ pub(crate) fn k_slice(
         v.extend_from_slice(&src[start..start + width]);
     }
     v
-}
-
-/// `true` when the metadata range `addr..addr + bytes` does not fit in
-/// `capacity` bytes of shared memory (an overflowing end included).
-pub(crate) fn meta_out_of_range(addr: usize, bytes: usize, capacity: usize) -> bool {
-    addr.checked_add(bytes).is_none_or(|end| end > capacity)
-}
-
-fn overlap(a: (usize, usize), b: (usize, usize)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
-}
-
-pub(crate) fn detect_races(
-    writes: &[(usize, (usize, usize))],
-    reads: &[(usize, (usize, usize))],
-) -> Result<(), SimError> {
-    for &(ww, wr) in writes {
-        for &(rw, rr) in reads {
-            if ww != rw && overlap(wr, rr) {
-                return Err(SimError::SharedMemoryHazard {
-                    detail: format!(
-                        "warp {ww} writes bytes {}..{} while warp {rw} reads {}..{} \
-                         in the same phase",
-                        wr.0,
-                        wr.0 + wr.1,
-                        rr.0,
-                        rr.0 + rr.1
-                    ),
-                });
-            }
-        }
-        for &(ow, or) in writes {
-            if ww < ow && overlap(wr, or) {
-                return Err(SimError::SharedMemoryHazard {
-                    detail: format!(
-                        "warps {ww} and {ow} both write overlapping bytes \
-                         {}..{} / {}..{} in the same phase",
-                        wr.0,
-                        wr.0 + wr.1,
-                        or.0,
-                        or.0 + or.1
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Per-fragment access events for the lazy register model.

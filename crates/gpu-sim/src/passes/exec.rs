@@ -1,8 +1,8 @@
 //! Execute pass: numerics only, no cycle accounting.
 //!
-//! Interprets a [`PlannedKernel`] phase by phase in one walk, whatever
-//! the [`BackendKind`]: warps in warp order, ops in program order, then
-//! same-phase race detection. KAMI kernels exchange data between warps
+//! Interprets a [`PlannedKernel`] phase by phase through the phase walker
+//! of `passes/walk.rs`, whatever the [`BackendKind`]: warps in warp order,
+//! ops in program order, then same-phase race detection. KAMI kernels exchange data between warps
 //! only across a barrier, so this walk *is* the semantics; every fault
 //! surfaces with the same error, panic message, and ordering as
 //! [`Engine::run`]. The backend selects only the body of each MMA once
@@ -10,18 +10,17 @@
 //! [`BackendKind::Sim`], the host microkernel of [`super::native`] for
 //! [`BackendKind::Native`] — so both leave bit-identical state.
 //!
-//! The pass performs no tallying and consults no
-//! [`CostConfig`](crate::cost::CostConfig): cycles are the cost pass's
-//! business alone.
+//! The pass prices nothing and consults no
+//! [`CostConfig`](crate::cost::CostConfig) — the walker's tallies are
+//! dropped: cycles are the cost pass's business alone.
 
 use super::backend::BackendKind;
+use super::walk::Walk;
 use super::PlannedKernel;
-use crate::cost::PhaseTally;
-use crate::engine::{detect_races, Engine};
+use crate::engine::{fresh_frags, Engine};
 use crate::error::SimError;
-use crate::fragment::FragValue;
 use crate::memory::global::GlobalMemory;
-use crate::memory::shared::SharedMemory;
+use crate::program::{Op, WarpProgram};
 
 impl<'a> Engine<'a> {
     /// Execute pass: run the planned kernel's numerics against `gmem`
@@ -35,47 +34,15 @@ impl<'a> Engine<'a> {
         plan: &PlannedKernel<'_>,
         gmem: &mut GlobalMemory,
     ) -> Result<(), SimError> {
-        let (mut smem, mut frags) = self.kernel_state(plan.kernel);
+        let mut walk = Walk::new(self.device);
+        let mut frags = fresh_frags(plan.kernel);
+        let mut step = |w: usize, prog: &WarpProgram, op: &Op, walk: &mut Walk| {
+            self.exec_op(backend, w, prog, op, gmem, &mut frags[w], walk)
+        };
         for phase in 0..plan.phases {
-            self.run_phase(backend, plan, phase, gmem, &mut smem, &mut frags)?;
+            self.walk_phase(plan, phase, &mut walk, false, &mut step)?;
         }
         Ok(())
-    }
-
-    /// One phase of the interleaved interpretation: warps in order, ops
-    /// in program order, with same-phase race detection.
-    fn run_phase(
-        &self,
-        backend: BackendKind,
-        plan: &PlannedKernel<'_>,
-        phase: usize,
-        gmem: &mut GlobalMemory,
-        smem: &mut SharedMemory,
-        frags: &mut [Vec<FragValue>],
-    ) -> Result<(), SimError> {
-        let mut tally = PhaseTally::default();
-        let mut writes: Vec<(usize, (usize, usize))> = Vec::new();
-        let mut reads: Vec<(usize, (usize, usize))> = Vec::new();
-        let mut flops_scratch = 0u64;
-        for (w, warp_frags) in frags.iter_mut().enumerate() {
-            let prog = &plan.kernel.warps[w];
-            for op in plan.ops(w, phase) {
-                self.exec_op(
-                    backend,
-                    w,
-                    prog,
-                    op,
-                    gmem,
-                    smem,
-                    warp_frags,
-                    &mut tally,
-                    &mut writes,
-                    &mut reads,
-                    &mut flops_scratch,
-                )?;
-            }
-        }
-        detect_races(&writes, &reads)
     }
 }
 

@@ -4,26 +4,28 @@
 //!    barrier alignment, register budget) plus the per-warp per-phase op
 //!    index ranges every later pass walks. No memory state, no cycles.
 //! 2. **cost** ([`Engine::cost`] / [`Engine::cost_traced`], in
-//!    [`cost`]) — pure cycle accounting over the planned structure and a
-//!    [`GmemLayout`](crate::memory::global::GmemLayout): it reproduces
-//!    the legacy engine's [`ExecutionReport`] and [`Trace`] exactly,
-//!    including every simulation fault, without touching matrix data.
+//!    [`cost`]) — the accounting walk of `walk.rs` with the shape-only op
+//!    over a [`GmemLayout`](crate::memory::global::GmemLayout): the
+//!    [`ExecutionReport`] and [`Trace`], every simulation fault
+//!    included, without touching matrix data.
 //! 3. **execute** ([`Engine::execute_with`], in [`exec`]) — numerics
-//!    only, one walk over the phases with race detection after each.
-//!    The [`BackendKind`] selects only the MMA body: the reference
-//!    interpreter ([`BackendKind::Sim`]) or the host-speed [`native`]
-//!    microkernel ([`BackendKind::Native`]), both bit-identical to the
-//!    legacy engine including accumulation order.
+//!    only: the phase walker of `walk.rs` with the functional op, race
+//!    detection after each phase, no pricing. The [`BackendKind`]
+//!    selects only the MMA body: the reference interpreter
+//!    ([`BackendKind::Sim`]) or the host-speed [`native`] microkernel
+//!    ([`BackendKind::Native`]), bit-identical including accumulation
+//!    order.
 //!
 //! [`Engine::run_kernel`] chains the three under a [`RunOptions`]
-//! (trace flag, cost override, backend); [`Engine::run`] remains the
-//! legacy interleaved loop the pipeline is differentially checked
-//! against.
+//! (trace flag, cost override, backend). The oracle [`Engine::run`] is
+//! the plan pass plus the same accounting walk with the functional op;
+//! `ExecParity` holds the two op semantics together.
 
 pub mod backend;
 pub mod cost;
 pub mod exec;
 pub mod native;
+pub(crate) mod walk;
 
 pub use backend::BackendKind;
 
@@ -36,9 +38,8 @@ use crate::program::{BlockKernel, Op};
 use crate::report::ExecutionReport;
 use crate::trace::Trace;
 
-/// A validated kernel plus the phase structure shared by the cost and
-/// execute passes. Producing one proves the kernel passes every static
-/// check the legacy engine front-loads (and in the same order).
+/// A validated kernel plus the phase structure every walk over it
+/// shares. Producing one proves the kernel passes every static check.
 #[derive(Debug, Clone)]
 pub struct PlannedKernel<'k> {
     pub kernel: &'k BlockKernel,
@@ -62,10 +63,9 @@ impl<'k> PlannedKernel<'k> {
 }
 
 impl<'a> Engine<'a> {
-    /// Plan pass: static validation and phase structure. Runs exactly
-    /// the checks the legacy engine front-loads, in the same order
-    /// (warp count, barrier alignment, register budget), so a kernel
-    /// rejected here fails [`Engine::run`] with the same error.
+    /// Plan pass: static validation and phase structure — warp count,
+    /// barrier alignment, register budget, in that order. Every walk
+    /// (the oracle [`Engine::run`] included) starts here.
     pub fn plan<'k>(&self, kernel: &'k BlockKernel) -> Result<PlannedKernel<'k>, SimError> {
         let p = kernel.num_warps();
         let max_warps = self.device.max_warps_per_block() as usize;
@@ -226,36 +226,5 @@ mod tests {
             .iter()
             .chain(plan.ops(1, 1))
             .any(|o| matches!(o, Op::Barrier)));
-    }
-
-    #[test]
-    fn plan_rejects_what_the_legacy_engine_rejects() {
-        let dev = gh200();
-        let eng = Engine::new(&dev);
-        // Barrier mismatch.
-        let k = BlockKernel::spmd(2, |i, w| {
-            let f = w.frag("x", 1, 1, Precision::Fp32);
-            w.zero_acc(f);
-            if i == 0 {
-                w.barrier();
-            }
-        });
-        let planned = eng.plan(&k).map(|_| ());
-        let legacy = eng.run(&k, &mut GlobalMemory::new()).map(|_| ());
-        assert_eq!(planned, legacy);
-        // Register overflow.
-        let k = BlockKernel::spmd(1, |_, w| {
-            let f = w.frag("huge", 256, 128, Precision::Fp64);
-            w.zero_acc(f);
-        });
-        let planned = eng.plan(&k).map(|_| ());
-        let legacy = eng.run(&k, &mut GlobalMemory::new()).map(|_| ());
-        assert_eq!(planned, legacy);
-        // Empty block.
-        let k = BlockKernel::new(Vec::new());
-        assert_eq!(
-            eng.plan(&k).map(|_| ()),
-            eng.run(&k, &mut GlobalMemory::new()).map(|_| ())
-        );
     }
 }

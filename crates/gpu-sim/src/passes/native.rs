@@ -1,11 +1,11 @@
 //! Native MMA body: what [`BackendKind::Native`](super::BackendKind::Native)
 //! changes about the execute pass.
 //!
-//! Both backends walk every phase through the same loop (warps in warp
-//! order, ops in program order, then race detection) and run every op
-//! through the same `Engine::exec_op`, legality checks included. The
-//! backend picks only the body of an MMA once its checks have passed:
-//! the reference slice extraction plus
+//! Both backends walk every phase through the same phase walker (warps
+//! in warp order, ops in program order, then race detection) and run
+//! every op through the same `Engine::exec_op`, legality checks
+//! included. The backend picks only the body of an MMA once its checks
+//! have passed: the reference slice extraction plus
 //! [`mma_fragment`](crate::tensor_core::mma_fragment) for `Sim`, or
 //! `mma` here for `Native`.
 //!

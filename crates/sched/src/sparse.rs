@@ -312,44 +312,56 @@ impl<'a> Scheduler<'a> {
             }
         };
 
+        // Each placement is built only when the requested decomposition
+        // needs it.
         // Data-parallel: whole items round-robin in output order — the
         // quantized baseline that eats the full nnz skew.
-        let mut dp = empty_plans(sms);
-        for idx in 0..work.len() {
-            dp[idx % sms].segments.push(whole(idx));
-        }
-        apply_serial_floor(&mut dp, serial);
-        let dp_ms = makespan(&dp);
+        let dp = || {
+            let mut dp = empty_plans(sms);
+            for idx in 0..work.len() {
+                dp[idx % sms].segments.push(whole(idx));
+            }
+            apply_serial_floor(&mut dp, serial);
+            let ms = makespan(&dp);
+            (Decomposition::DataParallel, dp, ms)
+        };
         // Weighted LPT: no fixup traffic, but a single dominant item
         // still bounds the makespan from below.
-        let lpt = lpt_plans(sms, work.len(), |i| work.items[i].nnz, serial, whole);
-        let lpt_ms = makespan(&lpt);
+        let lpt = || {
+            let lpt = lpt_plans(sms, work.len(), |i| work.items[i].nnz, serial, whole);
+            let ms = makespan(&lpt);
+            (Decomposition::WeightedLpt, lpt, ms)
+        };
         // nnz-aware Stream-K over the ragged space of nonzero
         // iterations: item boundaries fall wherever the prefix sums put
         // them.
-        let mut prefix = vec![0];
-        for item in &work.items {
-            prefix.push(prefix[prefix.len() - 1] + item.nnz);
-        }
-        let fixup = (cost.c_tile_bytes, cost.fixup_cycles);
-        let mut sk = streamk_plans(Iters::Ragged(&prefix), sms, fixup, false, |iters| {
-            let cycles = iters as f64 * cost.per_iter_cycles + cost.meta_cycles(iters);
-            (cycles, iters as u64 * cost.unit_flops)
-        });
-        apply_serial_floor(&mut sk, serial);
-        let sk_ms = makespan(&sk);
+        let sk = || {
+            let mut prefix = vec![0];
+            for item in &work.items {
+                prefix.push(prefix[prefix.len() - 1] + item.nnz);
+            }
+            let fixup = (cost.c_tile_bytes, cost.fixup_cycles);
+            let mut sk = streamk_plans(Iters::Ragged(&prefix), sms, fixup, false, |iters| {
+                let cycles = iters as f64 * cost.per_iter_cycles + cost.meta_cycles(iters);
+                (cycles, iters as u64 * cost.unit_flops)
+            });
+            apply_serial_floor(&mut sk, serial);
+            let ms = makespan(&sk);
+            (Decomposition::StreamK, sk, ms)
+        };
 
         let (chosen, sm_plans, span) = match self.decomposition {
-            Decomposition::DataParallel => (Decomposition::DataParallel, dp, dp_ms),
-            Decomposition::WeightedLpt => (Decomposition::WeightedLpt, lpt, lpt_ms),
+            Decomposition::DataParallel => dp(),
+            Decomposition::WeightedLpt => lpt(),
             Decomposition::StreamK => {
                 // Pathological-skew fallback: when whole-item LPT beats
                 // the iteration split (fixup traffic outweighing the
                 // balance win), take it.
-                if lpt_ms < sk_ms {
-                    (Decomposition::WeightedLpt, lpt, lpt_ms)
+                let (lpt, sk) = (lpt(), sk());
+                if lpt.2 < sk.2 {
+                    lpt
                 } else {
-                    (Decomposition::StreamK, sk, sk_ms)
+                    sk
                 }
             }
             // Sparse streams never run the dense k-split path the tree
@@ -362,12 +374,11 @@ impl<'a> Scheduler<'a> {
                 });
             }
             Decomposition::Auto => {
-                let mut best = (Decomposition::DataParallel, dp, dp_ms);
-                if lpt_ms < best.2 {
-                    best = (Decomposition::WeightedLpt, lpt, lpt_ms);
-                }
-                if sk_ms < best.2 {
-                    best = (Decomposition::StreamK, sk, sk_ms);
+                let mut best = dp();
+                for candidate in [lpt(), sk()] {
+                    if candidate.2 < best.2 {
+                        best = candidate;
+                    }
                 }
                 best
             }

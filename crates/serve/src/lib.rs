@@ -22,8 +22,9 @@
 //! * **Sharded admission** — `submit` stripes over per-shard locked
 //!   sub-queues (home shard by producer thread, failover to siblings),
 //!   payloads move into `Arc`'d storage at admission, and tickets
-//!   resolve through a lock-free one-shot cell, so neither admission
-//!   nor completion contends on the dispatcher's state lock.
+//!   resolve through a per-ticket `Mutex` + `Condvar` one-shot, so
+//!   neither admission nor completion contends on the dispatcher's state
+//!   lock.
 //! * **Backpressure** — the global admission bound is atomic;
 //!   submissions beyond capacity bounce with
 //!   [`ServeError::QueueFull`]. Parked-in-backoff retries are already

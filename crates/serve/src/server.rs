@@ -24,11 +24,11 @@
 //! preserves per-shard FIFO and makes the batch globally
 //! submission-ordered, so dispatch stays deterministic.
 //!
-//! Completion is equally lock-free: payloads live in `Arc`'d storage
+//! Completion is equally uncontended: payloads live in `Arc`'d storage
 //! from admission (retries and the degraded-serial replay share the
-//! allocation instead of cloning), and tickets resolve through an
-//! atomic one-shot cell, so settling a request never touches the
-//! admission shards or blocks a producer.
+//! allocation instead of cloning), and each ticket resolves through its
+//! own `Mutex` + `Condvar` one-shot, so settling a request never takes
+//! the admission shards or the dispatcher's state lock.
 //!
 //! ## Deadlines
 //!
