@@ -2,7 +2,7 @@
 //! workload): wall-time of the full functional simulation per strategy.
 //! Regressions here mean the *simulator or kernel builders* got slower;
 //! the simulated cycle counts themselves are asserted in tests and
-//! printed by the `fig08_square_gemm` binary.
+//! printed by `all_experiments --only fig08_square_gemm`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kami_baselines::{cublasdx, cutlass};

@@ -1,86 +1,48 @@
-//! Runs every experiment regenerator in DESIGN.md's index and prints the
-//! full set of tables with the §5.2.1-style speedup summaries; with
-//! `--json DIR` each table is also written as `DIR/<slug>.json`.
+//! Runs the experiment table (`kami_bench::EXPERIMENTS`, DESIGN.md §4):
+//! every table and figure of the evaluation with its summaries and paper
+//! notes. `--only PREFIX` keeps the entries whose slug starts with
+//! `PREFIX`; `--out DIR` also writes each table as `DIR/<slug>.json`.
 //!
 //! ```text
-//! cargo run --release -p kami-bench --bin all_experiments [-- --json target/experiments]
+//! cargo run --release -p kami-bench --bin all_experiments [-- --only fig15] [--out target/experiments]
 //! ```
 
-use kami_bench::series::Table;
-use kami_core::Algo;
-use kami_gpu_sim::device;
-use std::fs;
+use kami_bench::{experiments, study::write_json};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    if let Some(dir) = &json_dir {
-        fs::create_dir_all(dir).expect("create json dir");
-    }
-
-    let emit = |slug: &str, t: &Table| {
-        println!("{}", t.render());
-        if let Some(dir) = &json_dir {
-            fs::write(dir.join(format!("{slug}.json")), t.to_json()).expect("write json");
-        }
-    };
-
-    println!("{}", kami_bench::tab3_devices());
-    println!("{}", kami_bench::tab4_shapes());
-
-    emit("fig03_cublas", &kami_bench::fig3_cublas_curve());
-    emit("fig03_cublasdx", &kami_bench::fig3_cublasdx_curve());
-
-    for (i, t) in kami_bench::fig8_all_panels().iter().enumerate() {
-        emit(&format!("fig08_panel{i}"), t);
-        let s = t.summary(
-            &["KAMI-1D", "KAMI-2D", "KAMI-3D"],
-            &["cuBLASDx", "CUTLASS", "SYCL-Bench"],
-        );
-        if !s.is_empty() {
-            println!("{s}");
-        }
-    }
-
-    emit("fig09_block_size", &kami_bench::fig9_block_size());
-    emit("fig10_smem_ratio", &kami_bench::fig10_smem_ratio());
-
-    for k in [16, 32] {
-        let t = kami_bench::fig11_lowrank(k);
-        emit(&format!("fig11_lowrank_k{k}"), &t);
-        println!("{}", t.summary(&["KAMI"], &["cuBLASDx", "CUTLASS"]));
-    }
-
-    for batch in [1000usize, 10000] {
-        let t = kami_bench::fig12_batched(batch);
-        emit(&format!("fig12_batched_{batch}"), &t);
-        println!("{}", t.summary(&["KAMI"], &["MAGMA", "cuBLAS"]));
-    }
-
-    let (tm, tg) = kami_bench::fig13_sparse();
-    emit("fig13_spmm", &tm);
-    emit("fig13_spgemm", &tg);
-
-    emit("fig14_registers", &kami_bench::fig14_registers());
-
-    for dev in [device::gh200(), device::rtx5090()] {
-        for algo in Algo::ALL {
-            if let Ok(t) = kami_bench::fig15_cycles(&dev, algo) {
-                let slug = format!(
-                    "fig15_{}_{}",
-                    algo.label().to_lowercase().replace('-', ""),
-                    dev.name.to_lowercase().replace(' ', "_")
-                );
-                emit(&slug, &t);
+fn main() -> ExitCode {
+    let (mut only, mut out_dir) = (String::new(), None::<PathBuf>);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match (flag.as_str(), args.next()) {
+            ("--only", Some(prefix)) => only = prefix,
+            ("--out", Some(dir)) => out_dir = Some(dir.into()),
+            _ => {
+                eprintln!("usage: all_experiments [--only SLUG-PREFIX] [--out DIR]");
+                return ExitCode::from(2);
             }
         }
     }
+    let selected = experiments(&only);
+    if selected.is_empty() {
+        eprintln!("no experiment slug starts with `{only}`");
+        return ExitCode::from(2);
+    }
 
-    emit("tab_onchip_usage", &kami_bench::tab_onchip_usage());
-    println!("done: every table and figure of the evaluation regenerated.");
+    for (_, run, note) in selected {
+        let tables = run();
+        if !note.is_empty() {
+            println!("{note}");
+        }
+        if let Some(dir) = &out_dir {
+            for (slug, t) in &tables {
+                write_json(&dir.join(format!("{slug}.json")), t);
+            }
+        }
+    }
+    if only.is_empty() {
+        println!("done: every table and figure of the evaluation regenerated.");
+    }
+    ExitCode::SUCCESS
 }

@@ -17,8 +17,11 @@
 //! nonzero if the native backend's aggregate execute throughput falls
 //! under 2x the simulator — the CI acceptance gate for the backend seam.
 
+use kami_bench::Study;
 use kami_core::{gemm_cost_auto, gemm_execute_plan_with, Algo, KamiConfig};
 use kami_gpu_sim::{device, BackendKind, Matrix, Precision};
+use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Warm-path shape classes: the serve mix plus one register-ladder
@@ -30,15 +33,32 @@ const SHAPES: [(usize, usize, usize, Algo); 4] = [
     (128, 128, 128, Algo::TwoD),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/BENCH_backend.json".into());
-    let iters = if quick { 24 } else { 120 };
+/// The CI acceptance bar for the backend seam.
+const GATE: &str = "native >= 2x sim";
+
+#[derive(Serialize)]
+struct ShapeRow {
+    shape: String,
+    algo: &'static str,
+    sim_secs: f64,
+    native_secs: f64,
+    speedup: f64,
+}
+
+#[derive(Serialize)]
+struct Record {
+    device: String,
+    iters_per_shape: usize,
+    shapes: Vec<ShapeRow>,
+    sim_total_secs: f64,
+    native_total_secs: f64,
+    aggregate_speedup: f64,
+    gate: &'static str,
+}
+
+fn main() -> ExitCode {
+    let mut study = Study::from_env("backend");
+    let iters = if study.quick { 24 } else { 120 };
     let dev = device::gh200();
 
     println!("# backend_study: warm execute-only runs/sec per backend, {iters} iters/shape");
@@ -59,69 +79,50 @@ fn main() {
 
         // Conformance before speed: the two backends must agree bit for
         // bit on the exact operands being timed.
-        let sim_c = gemm_execute_plan_with(&dev, &plan, &a, &b, BackendKind::Sim)
-            .expect("sim executes")
-            .c;
-        let native_c = gemm_execute_plan_with(&dev, &plan, &a, &b, BackendKind::Native)
-            .expect("native executes")
-            .c;
+        let [sim_c, native_c] = [BackendKind::Sim, BackendKind::Native].map(|backend| {
+            let r = gemm_execute_plan_with(&dev, &plan, &a, &b, backend);
+            r.expect("both backends execute").c
+        });
         assert_eq!(
             sim_c.max_abs_diff(&native_c),
             0.0,
             "{m}x{n}x{k}: backends must be bit-identical"
         );
 
-        let mut secs = [0.0f64; 2];
-        for (slot, backend) in [BackendKind::Sim, BackendKind::Native]
-            .into_iter()
-            .enumerate()
-        {
+        let [sim_secs, native_secs] = [BackendKind::Sim, BackendKind::Native].map(|backend| {
             let t0 = Instant::now();
             for _ in 0..iters {
                 gemm_execute_plan_with(&dev, &plan, &a, &b, backend).expect("warm execute");
             }
-            secs[slot] = t0.elapsed().as_secs_f64();
-        }
-        let (sim_secs, native_secs) = (secs[0], secs[1]);
+            t0.elapsed().as_secs_f64()
+        });
         sim_total += sim_secs;
         native_total += native_secs;
         let sim_rps = iters as f64 / sim_secs;
         let native_rps = iters as f64 / native_secs;
         let speedup = native_rps / sim_rps;
-        println!(
-            "{:<14} {sim_rps:>12.1} {native_rps:>12.1} {speedup:>8.2}x",
-            format!("{m}x{n}x{k}")
-        );
-        rows.push(format!(
-            "    {{\"shape\": \"{m}x{n}x{k}\", \"algo\": \"{}\", \
-             \"sim_secs\": {sim_secs:.6}, \"native_secs\": {native_secs:.6}, \
-             \"speedup\": {speedup:.3}}}",
-            algo.label()
-        ));
+        let shape = format!("{m}x{n}x{k}");
+        println!("{shape:<14} {sim_rps:>12.1} {native_rps:>12.1} {speedup:>8.2}x");
+        rows.push(ShapeRow {
+            shape,
+            algo: algo.label(),
+            sim_secs,
+            native_secs,
+            speedup,
+        });
     }
 
     let aggregate = sim_total / native_total;
     println!("\naggregate execute-path speedup (native vs sim): {aggregate:.2}x");
 
-    let json = format!(
-        "{{\n  \"study\": \"backend_study\",\n  \"device\": \"{}\",\n  \
-         \"iters_per_shape\": {iters},\n  \"shapes\": [\n{}\n  ],\n  \
-         \"sim_total_secs\": {sim_total:.6},\n  \"native_total_secs\": {native_total:.6},\n  \
-         \"aggregate_speedup\": {aggregate:.3},\n  \"gate\": \"native >= 2x sim\"\n}}\n",
-        dev.name,
-        rows.join(",\n")
-    );
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output dir");
-        }
-    }
-    std::fs::write(&out, json).expect("write BENCH_backend.json");
-    println!("wrote {out}");
-
-    if aggregate < 2.0 {
-        eprintln!("FAIL: native execute throughput {aggregate:.2}x under the 2x acceptance bar");
-        std::process::exit(1);
-    }
-    println!("PASS: >= 2x acceptance bar");
+    study.gate(GATE, aggregate >= 2.0);
+    study.finish(&Record {
+        device: dev.name.clone(),
+        iters_per_shape: iters,
+        shapes: rows,
+        sim_total_secs: sim_total,
+        native_total_secs: native_total,
+        aggregate_speedup: aggregate,
+        gate: GATE,
+    })
 }

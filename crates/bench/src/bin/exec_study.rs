@@ -17,9 +17,23 @@
 //! Emits `target/BENCH_exec.json` (override with `--out`) and exits
 //! nonzero if warm throughput falls under 2x cold — the CI acceptance
 //! gate for the cached cost pass.
+//!
+//! What the 2x bar protects: a warm request skips the tuning sweep
+//! (one cost pass per candidate configuration) and its own cost pass,
+//! and runs the execute pass alone. The ratio is therefore roughly
+//! `1 + (tune + cost) / execute`; if the tuner or cost cache stopped
+//! hitting, a warm request would pay the same passes as a cold one and
+//! the ratio would fall to ~1x. The `--quick` trace measures 2.7–2.9x
+//! on a 2-vCPU x86 host (ten runs; one run at 2.1x). The bar does not
+//! hold by construction: a cheaper tuning sweep also shrinks the ratio,
+//! and `warm_cost_cache_hits` (every warm request a cost-cache hit) is
+//! the direct check that the warm path is execute-only.
 
+use kami_bench::Study;
 use kami_gpu_sim::{device, Matrix, Precision};
 use kami_serve::{ServeRequest, Server};
+use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// The repeated shape classes (the same dense mix `serve_study` uses).
@@ -54,15 +68,26 @@ fn drain(server: &Server, requests: Vec<ServeRequest>) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/BENCH_exec.json".into());
-    let total = if quick { 12 } else { 48 };
+/// The CI acceptance bar for the cached cost pass.
+const GATE: &str = "warm >= 2x cold";
+
+#[derive(Serialize)]
+struct Record {
+    device: String,
+    requests: usize,
+    shape_classes: Vec<String>,
+    cold_secs: f64,
+    warm_secs: f64,
+    cold_requests_per_sec: f64,
+    warm_requests_per_sec: f64,
+    speedup: f64,
+    warm_cost_cache_hits: usize,
+    gate: &'static str,
+}
+
+fn main() -> ExitCode {
+    let mut study = Study::from_env("exec");
+    let total = if study.quick { 12 } else { 48 };
     let dev = device::gh200();
 
     println!("# exec_study: serve requests/sec, cold vs cached cost pass, {total} requests");
@@ -107,30 +132,20 @@ fn main() {
     );
     println!("throughput speedup (warm / cold): {speedup:.2}x");
 
-    let shape_classes = SHAPES
-        .iter()
-        .map(|&(m, n, k)| format!("\"{m}x{n}x{k}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"study\": \"exec_study\",\n  \"device\": \"{}\",\n  \"requests\": {total},\n  \
-         \"shape_classes\": [{shape_classes}],\n  \"cold_secs\": {cold_secs:.6},\n  \
-         \"warm_secs\": {warm_secs:.6},\n  \"cold_requests_per_sec\": {cold_rps:.3},\n  \
-         \"warm_requests_per_sec\": {warm_rps:.3},\n  \"speedup\": {speedup:.3},\n  \
-         \"warm_cost_cache_hits\": {cost_hits},\n  \"gate\": \"warm >= 2x cold\"\n}}\n",
-        dev.name
-    );
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output dir");
-        }
-    }
-    std::fs::write(&out, json).expect("write BENCH_exec.json");
-    println!("wrote {out}");
-
-    if speedup < 2.0 {
-        eprintln!("FAIL: cached-cost throughput {speedup:.2}x under the 2x acceptance bar");
-        std::process::exit(1);
-    }
-    println!("PASS: >= 2x acceptance bar");
+    study.gate(GATE, speedup >= 2.0);
+    study.finish(&Record {
+        device: dev.name.clone(),
+        requests: total,
+        shape_classes: SHAPES
+            .iter()
+            .map(|&(m, n, k)| format!("{m}x{n}x{k}"))
+            .collect(),
+        cold_secs,
+        warm_secs,
+        cold_requests_per_sec: cold_rps,
+        warm_requests_per_sec: warm_rps,
+        speedup,
+        warm_cost_cache_hits: cost_hits,
+        gate: GATE,
+    })
 }

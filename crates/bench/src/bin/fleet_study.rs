@@ -26,8 +26,11 @@
 //! throughput of the single GH200 replica — the CI acceptance gate for
 //! fleet routing.
 
+use kami_bench::Study;
 use kami_gpu_sim::{device, DeviceSpec, Matrix, Precision};
 use kami_serve::{FleetConfig, FleetServer, FleetSpec, RoutingPolicy, ServeRequest, ServerConfig};
+use serde::Serialize;
+use std::process::ExitCode;
 
 /// The two shape classes of the mixed trace: tall-skinny panel and
 /// square-ish tile, both FP16-feasible on every Table 3 class.
@@ -71,31 +74,56 @@ fn run(spec: FleetSpec, policy: RoutingPolicy, requests: &[ServeRequest]) -> Opt
     Some(fleet.metrics().makespan_secs())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/BENCH_fleet.json".into());
-    let total = if quick { 24 } else { 48 };
+/// The CI acceptance bar for fleet routing.
+const GATE: &str = "oracle >= 1.5x single GH200 replica";
+
+#[derive(Serialize)]
+struct Row {
+    fleet: String,
+    replicas: usize,
+    makespan_secs: f64,
+    requests_per_sim_sec: f64,
+}
+
+#[derive(Serialize)]
+struct Record {
+    requests: usize,
+    trace: Vec<String>,
+    rows: Vec<Row>,
+    oracle_vs_single_speedup: f64,
+    oracle_vs_round_robin: f64,
+    gate: &'static str,
+}
+
+fn main() -> ExitCode {
+    let mut study = Study::from_env("fleet");
+    let total = if study.quick { 24 } else { 48 };
     let requests = trace(total);
+    let shape = |(m, n, k): (usize, usize, usize)| format!("{m}x{n}x{k}");
 
     println!("# fleet_study: aggregate throughput on a {total}-request mixed trace");
     println!(
-        "# ({}x{}x{} tall-skinny + {}x{}x{} square, fp16, solo dispatch)\n",
-        TALL_SKINNY.0, TALL_SKINNY.1, TALL_SKINNY.2, SQUARE.0, SQUARE.1, SQUARE.2
+        "# ({} tall-skinny + {} square, fp16, solo dispatch)\n",
+        shape(TALL_SKINNY),
+        shape(SQUARE)
     );
 
-    let mut rows: Vec<(String, usize, f64)> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    let mut row = |fleet: String, replicas: usize, makespan_secs: f64| {
+        rows.push(Row {
+            fleet,
+            replicas,
+            makespan_secs,
+            requests_per_sim_sec: total as f64 / makespan_secs,
+        })
+    };
     let single = run(
         FleetSpec::homogeneous(&device::gh200(), 1),
         RoutingPolicy::EarliestCompletion,
         &requests,
     )
     .expect("the trace is feasible on GH200");
-    rows.push(("single replica (GH200)".into(), 1, single));
+    row("single replica (GH200)".into(), 1, single);
 
     for dev in DeviceSpec::all_evaluated() {
         if dev.name == device::gh200().name {
@@ -106,7 +134,7 @@ fn main() {
             RoutingPolicy::EarliestCompletion,
             &requests,
         ) {
-            rows.push((format!("single replica ({})", dev.name), 1, makespan));
+            row(format!("single replica ({})", dev.name), 1, makespan);
         }
     }
 
@@ -114,19 +142,19 @@ fn main() {
     let replicas = spec.total_replicas();
     let rr = run(spec.clone(), RoutingPolicy::RoundRobin, &requests)
         .expect("the trace is feasible on every class");
-    rows.push(("heterogeneous, round-robin".into(), replicas, rr));
+    row("heterogeneous, round-robin".into(), replicas, rr);
     let oracle = run(spec, RoutingPolicy::EarliestCompletion, &requests)
         .expect("the trace is feasible on every class");
-    rows.push(("heterogeneous, cost oracle".into(), replicas, oracle));
+    row("heterogeneous, cost oracle".into(), replicas, oracle);
 
     println!(
         "{:<34} {:>9} {:>16} {:>14}",
         "fleet", "replicas", "makespan (s)", "req/sim-sec"
     );
-    for (label, n, makespan) in &rows {
+    for r in &rows {
         println!(
-            "{label:<34} {n:>9} {makespan:>16.3e} {:>14.1}",
-            total as f64 / makespan
+            "{:<34} {:>9} {:>16.3e} {:>14.1}",
+            r.fleet, r.replicas, r.makespan_secs, r.requests_per_sim_sec
         );
     }
 
@@ -135,37 +163,13 @@ fn main() {
     println!("\noracle vs single GH200 replica: {speedup:.2}x aggregate throughput");
     println!("oracle vs round-robin (same fleet): {vs_rr:.2}x");
 
-    let rows_json = rows
-        .iter()
-        .map(|(label, n, makespan)| {
-            format!(
-                "    {{\"fleet\": \"{label}\", \"replicas\": {n}, \
-                 \"makespan_secs\": {makespan:.6e}, \
-                 \"requests_per_sim_sec\": {:.3}}}",
-                total as f64 / makespan
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"study\": \"fleet_study\",\n  \"requests\": {total},\n  \
-         \"trace\": [\"{}x{}x{}\", \"{}x{}x{}\"],\n  \"rows\": [\n{rows_json}\n  ],\n  \
-         \"oracle_vs_single_speedup\": {speedup:.3},\n  \
-         \"oracle_vs_round_robin\": {vs_rr:.3},\n  \
-         \"gate\": \"oracle >= 1.5x single GH200 replica\"\n}}\n",
-        TALL_SKINNY.0, TALL_SKINNY.1, TALL_SKINNY.2, SQUARE.0, SQUARE.1, SQUARE.2
-    );
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output dir");
-        }
-    }
-    std::fs::write(&out, json).expect("write BENCH_fleet.json");
-    println!("wrote {out}");
-
-    if speedup < 1.5 {
-        eprintln!("FAIL: oracle fleet {speedup:.2}x under the 1.5x acceptance bar");
-        std::process::exit(1);
-    }
-    println!("PASS: >= 1.5x acceptance bar");
+    study.gate(GATE, speedup >= 1.5);
+    study.finish(&Record {
+        requests: total,
+        trace: vec![shape(TALL_SKINNY), shape(SQUARE)],
+        rows,
+        oracle_vs_single_speedup: speedup,
+        oracle_vs_round_robin: vs_rr,
+        gate: GATE,
+    })
 }

@@ -19,17 +19,21 @@
 //! cargo run --release -p kami-bench --bin plan_cache_study [-- --quick] [--out PATH]
 //! ```
 //!
-//! Emits `target/BENCH_plan_cache.json` (override with `--out`) and
-//! exits nonzero if any gate fails.
+//! Emits `target/BENCH_plan_cache.json` (override with `--out`), whose
+//! `gates` array names the three checks `bounded_memory`, `warm_path`
+//! and `feedback_routing`, and exits nonzero if any gate fails.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use kami_bench::Study;
 use kami_core::{Algo, KamiConfig};
 use kami_gpu_sim::{device, CostConfig, Matrix, Precision};
 use kami_sched::{CacheConfig, PlanCache};
 use kami_serve::{
     DeviceClass, FleetConfig, FleetServer, FleetSpec, RoutingPolicy, ServeRequest, ServerConfig,
 };
+use serde::Serialize;
 
 /// Per-store byte budget for the churn phase.
 const BUDGET_BYTES: usize = 256 * 1024;
@@ -149,14 +153,42 @@ fn misrouted_fleet(cache: CacheConfig, waves: usize, per_wave: usize) -> f64 {
     total as f64 / fleet.metrics().makespan_secs()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/BENCH_plan_cache.json".into());
+#[derive(Serialize)]
+struct Churn {
+    distinct: usize,
+    budget_bytes: usize,
+    peak_resident_bytes: usize,
+    evictions: u64,
+    bloom_rejected: u64,
+}
+
+#[derive(Serialize)]
+struct Warm {
+    iters: usize,
+    bounded_hits_per_sec: f64,
+    unbounded_hits_per_sec: f64,
+    ratio: f64,
+}
+
+#[derive(Serialize)]
+struct Feedback {
+    waves: usize,
+    per_wave: usize,
+    control_req_per_sim_sec: f64,
+    feedback_req_per_sim_sec: f64,
+    ratio: f64,
+}
+
+#[derive(Serialize)]
+struct Record {
+    churn: Churn,
+    warm: Warm,
+    feedback: Feedback,
+}
+
+fn main() -> ExitCode {
+    let mut study = Study::from_env("plan_cache");
+    let quick = study.quick;
 
     // -- Phase A: bounded memory under churn ------------------------
     let distinct = if quick { 5_000 } else { 100_000 };
@@ -169,7 +201,10 @@ fn main() {
         "churn: peak resident {peak} B (bound {bound} B), {evictions} evictions, \
          {bloom_rejected} bloom rejections"
     );
-    let gate_bounded = peak <= bound && evictions > 0 && bloom_rejected > 0;
+    study.gate(
+        "bounded_memory: peak <= 2x budget, evictions + bloom live",
+        peak <= bound && evictions > 0 && bloom_rejected > 0,
+    );
 
     // -- Phase B: warm-path hit throughput --------------------------
     let shapes: Vec<(usize, usize, usize)> = (0..32).map(|i| (64, 64, 32 + 4 * i)).collect();
@@ -183,7 +218,10 @@ fn main() {
         "warm path: bounded {hits_bounded:.0} hits/s vs unbounded {hits_unbounded:.0} hits/s \
          ({warm_ratio:.2}x)"
     );
-    let gate_warm = warm_ratio >= 0.5;
+    study.gate(
+        "warm_path: bounded >= 0.5x unbounded hit throughput",
+        warm_ratio >= 0.5,
+    );
 
     // -- Phase C: feedback vs control on a mis-modeled device -------
     let (waves, per_wave) = if quick { (4, 12) } else { (8, 24) };
@@ -194,49 +232,31 @@ fn main() {
         "mis-modeled fleet: feedback {feedback:.1} req/sim-s vs control {control:.1} req/sim-s \
          ({fb_ratio:.2}x)"
     );
-    let gate_feedback = feedback >= control;
-
-    let json = format!(
-        "{{\n  \"study\": \"plan_cache_study\",\n  \"quick\": {quick},\n  \
-         \"churn\": {{\"distinct\": {distinct}, \"budget_bytes\": {BUDGET_BYTES}, \
-         \"peak_resident_bytes\": {peak}, \"evictions\": {evictions}, \
-         \"bloom_rejected\": {bloom_rejected}}},\n  \
-         \"warm\": {{\"iters\": {iters}, \"bounded_hits_per_sec\": {hits_bounded:.1}, \
-         \"unbounded_hits_per_sec\": {hits_unbounded:.1}, \"ratio\": {warm_ratio:.4}}},\n  \
-         \"feedback\": {{\"waves\": {waves}, \"per_wave\": {per_wave}, \
-         \"control_req_per_sim_sec\": {control:.3}, \
-         \"feedback_req_per_sim_sec\": {feedback:.3}, \"ratio\": {fb_ratio:.4}}},\n  \
-         \"gates\": {{\"bounded_memory\": {gate_bounded}, \"warm_path\": {gate_warm}, \
-         \"feedback_routing\": {gate_feedback}}}\n}}\n"
+    study.gate(
+        "feedback_routing: >= no-feedback control",
+        feedback >= control,
     );
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output dir");
-        }
-    }
-    std::fs::write(&out, json).expect("write BENCH_plan_cache.json");
-    println!("wrote {out}");
 
-    let mut failed = false;
-    for (name, ok) in [
-        (
-            "bounded memory (peak <= 2x budget, evictions + bloom live)",
-            gate_bounded,
-        ),
-        (
-            "warm path (bounded >= 0.5x unbounded hit throughput)",
-            gate_warm,
-        ),
-        ("feedback routing (>= no-feedback control)", gate_feedback),
-    ] {
-        if ok {
-            println!("PASS: {name}");
-        } else {
-            eprintln!("FAIL: {name}");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    study.finish(&Record {
+        churn: Churn {
+            distinct,
+            budget_bytes: BUDGET_BYTES,
+            peak_resident_bytes: peak,
+            evictions,
+            bloom_rejected,
+        },
+        warm: Warm {
+            iters,
+            bounded_hits_per_sec: hits_bounded,
+            unbounded_hits_per_sec: hits_unbounded,
+            ratio: warm_ratio,
+        },
+        feedback: Feedback {
+            waves,
+            per_wave,
+            control_req_per_sim_sec: control,
+            feedback_req_per_sim_sec: feedback,
+            ratio: fb_ratio,
+        },
+    })
 }

@@ -11,10 +11,13 @@
 //! device waits), while the nnz split tracks the ideal bound.
 //!
 //! ```text
-//! cargo run --release -p kami-bench --bin sched_sparse_study [--quick] [--json out.json]
+//! cargo run --release -p kami-bench --bin sched_sparse_study [-- --quick] [--out PATH]
 //! ```
+//!
+//! Emits its SpMM table as `target/BENCH_sched_sparse.json` (override
+//! with `--out`); there is no gate.
 
-use kami_bench::series::Table;
+use kami_bench::{Study, Table};
 use kami_core::model::cycles::ModelParams;
 use kami_core::Algo;
 use kami_gpu_sim::{analyze_occupancy_stream, device, Precision};
@@ -23,6 +26,7 @@ use kami_sparse::gen::{
     patterned_block_sparse, power_law_block_sparse, random_block_sparse, Pattern,
 };
 use kami_sparse::{model, BlockOrder, BlockSparseMatrix};
+use std::process::ExitCode;
 
 const BLOCK: usize = 16;
 const DENSE_COLS: usize = 64;
@@ -50,13 +54,9 @@ fn families(n: usize) -> Vec<(&'static str, BlockSparseMatrix)> {
     ]
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_out = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
+fn main() -> ExitCode {
+    let study = Study::from_env("sched_sparse");
+    let quick = study.quick;
 
     let dev = device::gh200();
     let plans = PlanCache::new();
@@ -98,17 +98,14 @@ fn main() {
     for &n in &orders {
         for (family, a) in families(n) {
             let work = SparseWork::from_spmm(&a, DENSE_COLS, Precision::Fp16);
-            let dp = Scheduler::new(&dev)
-                .with_decomposition(Decomposition::DataParallel)
-                .run_sparse(&work, &plans)
-                .expect("dp schedules");
-            let sk = Scheduler::new(&dev)
-                .with_decomposition(Decomposition::StreamK)
-                .run_sparse(&work, &plans)
-                .expect("sk schedules");
-            let auto = Scheduler::new(&dev)
-                .run_sparse(&work, &plans)
-                .expect("auto schedules");
+            let run = |d| {
+                Scheduler::new(&dev)
+                    .with_decomposition(d)
+                    .run_sparse(&work, &plans)
+            };
+            let dp = run(Decomposition::DataParallel).expect("dp schedules");
+            let sk = run(Decomposition::StreamK).expect("sk schedules");
+            let auto = run(Decomposition::Auto).expect("auto schedules");
 
             // Ideal lower bound: every SM streams nonzero iterations at
             // the unit rate with no quantization or fixups.
@@ -164,17 +161,14 @@ fn main() {
         for (family, a) in families(n) {
             let b = random_block_sparse(n, n, BLOCK, 0.5, BlockOrder::RowMajor, 44);
             let work = SparseWork::from_spgemm(&a, &b, Precision::Fp16);
-            let dp = Scheduler::new(&dev)
-                .with_decomposition(Decomposition::DataParallel)
-                .run_sparse(&work, &plans)
-                .expect("dp schedules");
-            let sk = Scheduler::new(&dev)
-                .with_decomposition(Decomposition::StreamK)
-                .run_sparse(&work, &plans)
-                .expect("sk schedules");
-            let auto = Scheduler::new(&dev)
-                .run_sparse(&work, &plans)
-                .expect("auto schedules");
+            let run = |d| {
+                Scheduler::new(&dev)
+                    .with_decomposition(d)
+                    .run_sparse(&work, &plans)
+            };
+            let dp = run(Decomposition::DataParallel).expect("dp schedules");
+            let sk = run(Decomposition::StreamK).expect("sk schedules");
+            let auto = run(Decomposition::Auto).expect("auto schedules");
             println!(
                 "{:>6} {:>16} | {:>7} {:>7} {:>6.1} | {:>11.0} {:>11.0} {:>7.2} | {:>11}",
                 n,
@@ -198,9 +192,5 @@ fn main() {
         plans.misses()
     );
     println!("\n{}", table.render());
-
-    if let Some(path) = json_out {
-        std::fs::write(&path, table.to_json()).expect("write json");
-        println!("wrote {path}");
-    }
+    study.finish(&table)
 }

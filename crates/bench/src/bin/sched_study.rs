@@ -9,21 +9,20 @@
 //! closed forms.
 //!
 //! ```text
-//! cargo run --release -p kami-bench --bin sched_study [--json out.json]
+//! cargo run --release -p kami-bench --bin sched_study [-- --out PATH]
 //! ```
+//!
+//! Emits its table as `target/BENCH_sched.json` (override with `--out`);
+//! there is no gate, and `--quick` changes nothing.
 
-use kami_bench::series::Table;
+use kami_bench::{Study, Table};
 use kami_core::estimate_batched;
 use kami_gpu_sim::{device, Precision};
 use kami_sched::{BlockWork, Decomposition, PlanCache, Scheduler, PAPER_BLOCK_COUNT};
+use std::process::ExitCode;
 
-fn main() {
-    let json_out = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--json")
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+fn main() -> ExitCode {
+    let study = Study::from_env("sched");
 
     let dev = device::gh200();
     let plans = PlanCache::new();
@@ -60,17 +59,14 @@ fn main() {
 
     for &(m, n, k, prec) in &shapes {
         let work = BlockWork::uniform(m, n, k, prec, PAPER_BLOCK_COUNT);
-        let dp = Scheduler::new(&dev)
-            .with_decomposition(Decomposition::DataParallel)
-            .run(&work, &plans)
-            .expect("data-parallel schedules");
-        let sk = Scheduler::new(&dev)
-            .with_decomposition(Decomposition::StreamK)
-            .run(&work, &plans)
-            .ok();
-        let auto = Scheduler::new(&dev)
-            .run(&work, &plans)
-            .expect("auto schedules");
+        let run = |d| {
+            Scheduler::new(&dev)
+                .with_decomposition(d)
+                .run(&work, &plans)
+        };
+        let dp = run(Decomposition::DataParallel).expect("data-parallel schedules");
+        let sk = run(Decomposition::StreamK).ok();
+        let auto = run(Decomposition::Auto).expect("auto schedules");
 
         // Closed forms: the wave model extrapolates one tuned block;
         // the steady-state form comes from occupancy::analyze.
@@ -122,14 +118,13 @@ fn main() {
     for waves in [1usize, 2, 4, 8] {
         let count = dev.num_sms as usize * waves + 1;
         let work = BlockWork::uniform(64, 64, 256, Precision::Fp64, count);
-        let dp = Scheduler::new(&dev)
-            .with_decomposition(Decomposition::DataParallel)
-            .run(&work, &plans)
-            .expect("dp");
-        let sk = Scheduler::new(&dev)
-            .with_decomposition(Decomposition::StreamK)
-            .run(&work, &plans)
-            .expect("sk");
+        let run = |d| {
+            Scheduler::new(&dev)
+                .with_decomposition(d)
+                .run(&work, &plans)
+        };
+        let dp = run(Decomposition::DataParallel).expect("dp");
+        let sk = run(Decomposition::StreamK).expect("sk");
         println!(
             "{:>8} | {:>12.0} {:>12.0} {:>8.3} | {:>10.4} {:>10.4}",
             count,
@@ -149,9 +144,5 @@ fn main() {
         plans.misses()
     );
     println!("\n{}", table.render());
-
-    if let Some(path) = json_out {
-        std::fs::write(&path, table.to_json()).expect("write json");
-        println!("wrote {path}");
-    }
+    study.finish(&table)
 }

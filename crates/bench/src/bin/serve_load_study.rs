@@ -38,11 +38,14 @@
 //! baseline leg samples a 20k-request prefix of the same trace (its
 //! simulated rate is depth-determined and stable long before that).
 
+use kami_bench::Study;
 use kami_core::{Epilogue, GemmRequest, KamiConfig};
 use kami_gpu_sim::{device, Matrix, Precision};
-use kami_serve::{Metrics, ServeRequest, Server, ServerConfig};
+use kami_serve::{ServeRequest, Server, ServerConfig};
 use kami_sparse::{gen, BlockOrder};
+use serde::Serialize;
 use std::collections::VecDeque;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -84,25 +87,11 @@ fn request_at(i: usize) -> ServeRequest {
     }
 }
 
-struct LegStats {
-    clock: f64,
-    wall_secs: f64,
-    metrics: Metrics,
-    prometheus: String,
-}
-
-impl LegStats {
-    /// Simulated aggregate throughput in requests per megacycle.
-    fn requests_per_megacycle(&self) -> f64 {
-        self.metrics.completed as f64 / self.clock * 1e6
-    }
-}
-
 /// Drive `total` requests through one server config: `PRODUCERS`
 /// submitter threads spinning on `QueueFull`, one driver thread that
 /// ticks only when admission is full (or the producers are finished),
 /// so every dispatch runs at the configured depth.
-fn run_leg(shards: usize, capacity: usize, total: usize) -> LegStats {
+fn run_leg(shards: usize, capacity: usize, total: usize) -> (Leg, String) {
     let dev = device::gh200();
     let server = Server::with_config(
         &dev,
@@ -163,67 +152,77 @@ fn run_leg(shards: usize, capacity: usize, total: usize) -> LegStats {
     });
 
     let wall_secs = t0.elapsed().as_secs_f64();
-    let metrics = server.metrics();
-    assert_eq!(metrics.completed as usize, total, "every request resolves");
-    LegStats {
-        clock: server.clock(),
+    let m = server.metrics();
+    assert_eq!(m.completed as usize, total, "every request resolves");
+    let h = &m.completion_cycles;
+    let leg = Leg {
+        admission_shards: shards,
+        queue_capacity: capacity,
+        requests: m.completed,
+        simulated_cycles: server.clock(),
+        requests_per_megacycle: m.completed as f64 / server.clock() * 1e6,
         wall_secs,
-        metrics,
-        prometheus: server.to_prometheus(),
-    }
+        wall_requests_per_sec: m.completed as f64 / wall_secs,
+        p50_cycles: h.p50(),
+        p99_cycles: h.p99(),
+        p999_cycles: h.p999(),
+        ticks: m.ticks,
+        max_queue_depth: m.max_queue_depth,
+        max_parked_depth: m.max_parked_depth,
+        admission_failovers: m.admission_failovers,
+        rejected_queue_full: m.rejected_queue_full,
+    };
+    (leg, server.to_prometheus())
 }
 
-fn leg_json(label: &str, shards: usize, capacity: usize, stats: &LegStats) -> String {
-    let m = &stats.metrics;
-    let h = &m.completion_cycles;
-    format!(
-        "  \"{label}\": {{\n    \"admission_shards\": {shards},\n    \
-         \"queue_capacity\": {capacity},\n    \"requests\": {},\n    \
-         \"simulated_cycles\": {:.3},\n    \"requests_per_megacycle\": {:.3},\n    \
-         \"wall_secs\": {:.3},\n    \"wall_requests_per_sec\": {:.1},\n    \
-         \"p50_cycles\": {:.3},\n    \"p99_cycles\": {:.3},\n    \"p999_cycles\": {:.3},\n    \
-         \"ticks\": {},\n    \"max_queue_depth\": {},\n    \"max_parked_depth\": {},\n    \
-         \"admission_failovers\": {},\n    \"rejected_queue_full\": {}\n  }}",
-        m.completed,
-        stats.clock,
-        stats.requests_per_megacycle(),
-        stats.wall_secs,
-        m.completed as f64 / stats.wall_secs,
-        h.p50(),
-        h.p99(),
-        h.p999(),
-        m.ticks,
-        m.max_queue_depth,
-        m.max_parked_depth,
-        m.admission_failovers,
-        m.rejected_queue_full,
-    )
+/// One leg's record: its admission config, simulated throughput
+/// (requests per megacycle) and completion-latency percentiles.
+#[derive(Serialize)]
+struct Leg {
+    admission_shards: usize,
+    queue_capacity: usize,
+    requests: u64,
+    simulated_cycles: f64,
+    requests_per_megacycle: f64,
+    wall_secs: f64,
+    wall_requests_per_sec: f64,
+    p50_cycles: f64,
+    p99_cycles: f64,
+    p999_cycles: f64,
+    ticks: u64,
+    max_queue_depth: usize,
+    max_parked_depth: usize,
+    admission_failovers: u64,
+    rejected_queue_full: u64,
 }
 
-fn print_leg(label: &str, stats: &LegStats) {
-    let m = &stats.metrics;
-    let h = &m.completion_cycles;
+#[derive(Serialize)]
+struct Record {
+    device: &'static str,
+    producers: usize,
+    baseline: Leg,
+    sharded: Leg,
+    speedup: f64,
+    gate: &'static str,
+}
+
+fn print_leg(label: &str, l: &Leg) {
     println!(
         "{label:<22} {:>10} {:>14.0} {:>12.1} {:>10.0} {:>10.0} {:>10.0} {:>8} {:>9.1}",
-        m.completed,
-        stats.clock,
-        stats.requests_per_megacycle(),
-        h.p50(),
-        h.p99(),
-        h.p999(),
-        m.ticks,
-        m.completed as f64 / stats.wall_secs,
+        l.requests,
+        l.simulated_cycles,
+        l.requests_per_megacycle,
+        l.p50_cycles,
+        l.p99_cycles,
+        l.p999_cycles,
+        l.ticks,
+        l.wall_requests_per_sec,
     );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/BENCH_serve_load.json".into());
+fn main() -> ExitCode {
+    let mut study = Study::from_env("serve_load");
+    let quick = study.quick;
 
     let total = if quick { 8_192 } else { 1_000_000 };
     let baseline_total = total.min(20_000);
@@ -243,37 +242,20 @@ fn main() {
         "{:<22} {:>10} {:>14} {:>12} {:>10} {:>10} {:>10} {:>8} {:>9}",
         "config", "requests", "sim cycles", "req/Mcycle", "p50", "p99", "p999", "ticks", "wall r/s"
     );
-    let baseline = run_leg(base_shards, base_cap, baseline_total);
+    let (baseline, _) = run_leg(base_shards, base_cap, baseline_total);
     print_leg("single-queue baseline", &baseline);
-    let sharded = run_leg(new_shards, new_cap, total);
+    let (sharded, prometheus) = run_leg(new_shards, new_cap, total);
     print_leg("sharded admission", &sharded);
 
-    let speedup = sharded.requests_per_megacycle() / baseline.requests_per_megacycle();
+    let speedup = sharded.requests_per_megacycle / baseline.requests_per_megacycle;
     println!("\nsimulated throughput speedup (sharded / baseline): {speedup:.2}x");
 
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output dir");
-        }
-    }
-    let json = format!(
-        "{{\n  \"study\": \"serve_load_study\",\n  \"device\": \"GH200\",\n  \
-         \"quick\": {quick},\n  \"producers\": {PRODUCERS},\n\
-         {},\n{},\n  \"speedup\": {speedup:.3},\n  \
-         \"gate\": \"sharded >= 2x baseline simulated throughput; quick p99 within 1.5x reference\"\n}}\n",
-        leg_json("baseline", base_shards, base_cap, &baseline),
-        leg_json("sharded", new_shards, new_cap, &sharded),
-    );
-    std::fs::write(&out, json).expect("write BENCH_serve_load.json");
-    let prom_out = format!("{}.prom", out.trim_end_matches(".json"));
-    std::fs::write(&prom_out, &sharded.prometheus).expect("write prometheus export");
-    println!("wrote {out} and {prom_out}");
+    study.write_side("prom", &prometheus);
 
-    let mut failed = false;
-    if speedup < 2.0 {
-        eprintln!("FAIL: sharded throughput {speedup:.2}x under the 2x acceptance bar");
-        failed = true;
-    }
+    study.gate(
+        "sharded >= 2x baseline simulated throughput",
+        speedup >= 2.0,
+    );
     if quick {
         // Latency regression gate against the checked-in reference run.
         let reference: serde_json::Value =
@@ -282,20 +264,23 @@ fn main() {
         let ref_p99 = reference["sharded"]["p99_cycles"]
             .as_f64()
             .expect("reference carries sharded.p99_cycles");
-        let p99 = sharded.metrics.completion_cycles.p99();
+        let p99 = sharded.p99_cycles;
         let bound = ref_p99 * 1.5;
-        if p99 > bound {
-            eprintln!(
-                "FAIL: sharded p99 {p99:.0} cycles regressed past 1.5x the checked-in \
-                 reference ({ref_p99:.0} -> bound {bound:.0})"
-            );
-            failed = true;
-        } else {
-            println!("p99 {p99:.0} cycles within 1.5x of checked-in reference {ref_p99:.0}");
-        }
+        println!(
+            "sharded p99 {p99:.0} cycles vs 1.5x the checked-in reference \
+             ({ref_p99:.0} -> bound {bound:.0})"
+        );
+        study.gate(
+            "quick p99 within 1.5x of the checked-in reference",
+            p99 <= bound,
+        );
     }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("PASS: >= 2x sustained-throughput acceptance bar");
+    study.finish(&Record {
+        device: "GH200",
+        producers: PRODUCERS,
+        baseline,
+        sharded,
+        speedup,
+        gate: "sharded >= 2x baseline simulated throughput; quick p99 within 1.5x reference",
+    })
 }

@@ -9,16 +9,20 @@
 //! device; pooled, they fill it the way one Stream-K launch would.
 //!
 //! ```text
-//! cargo run --release -p kami-bench --bin serve_study [-- --quick]
+//! cargo run --release -p kami-bench --bin serve_study [-- --quick] [--out PATH]
 //! ```
 //!
-//! Exits nonzero if the coalesced speedup falls under 1.5× — this
-//! doubles as the CI acceptance gate for the service runtime.
+//! Emits `target/BENCH_serve.json` (override with `--out`) and exits
+//! nonzero if the coalesced speedup falls under 1.5× — this doubles as
+//! the CI acceptance gate for the service runtime.
 
+use kami_bench::Study;
 use kami_core::KamiConfig;
 use kami_gpu_sim::{device, Matrix, Precision};
 use kami_serve::{Metrics, ServeRequest, Server, ServerConfig};
 use kami_sparse::{gen, BlockOrder};
+use serde::Serialize;
+use std::process::ExitCode;
 
 /// The deterministic mixed trace: mostly small dense GEMMs in a few
 /// shape classes (coalescable), with sparse SpMM/SpGEMM riders that
@@ -71,9 +75,24 @@ fn run(coalesce: bool, requests: Vec<ServeRequest>) -> (f64, Metrics) {
     (server.clock(), server.metrics())
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let total = if quick { 60 } else { 200 };
+/// The CI acceptance bar for the service runtime.
+const GATE: &str = "coalesced >= 1.5x serial";
+
+#[derive(Serialize)]
+struct Record {
+    device: String,
+    requests: usize,
+    serial_cycles: f64,
+    coalesced_cycles: f64,
+    serial_coalesce_factor: f64,
+    coalesced_coalesce_factor: f64,
+    speedup: f64,
+    gate: &'static str,
+}
+
+fn main() -> ExitCode {
+    let mut study = Study::from_env("serve");
+    let total = if study.quick { 60 } else { 200 };
 
     println!("# serve_study: aggregate throughput, GH200, {total}-request mixed trace");
     println!("# (dense 64x64x64 / 32x32x64 / 128x64x64 fp16 + SpMM/SpGEMM riders)\n");
@@ -103,9 +122,15 @@ fn main() {
     );
     println!("aggregate speedup (serial / coalesced): {speedup:.2}x");
 
-    if speedup < 1.5 {
-        eprintln!("FAIL: coalesced speedup {speedup:.2}x under the 1.5x acceptance bar");
-        std::process::exit(1);
-    }
-    println!("PASS: >= 1.5x acceptance bar");
+    study.gate(GATE, speedup >= 1.5);
+    study.finish(&Record {
+        device: device::gh200().name,
+        requests: total,
+        serial_cycles,
+        coalesced_cycles,
+        serial_coalesce_factor: serial_metrics.coalesce_factor(),
+        coalesced_coalesce_factor: coalesced_metrics.coalesce_factor(),
+        speedup,
+        gate: GATE,
+    })
 }

@@ -19,11 +19,34 @@
 //! predicted throughput on every grid shape — the CI acceptance gate
 //! for the tall-skinny path.
 
+use kami_bench::Study;
 use kami_gpu_sim::{device, Precision};
 use kami_sched::{BlockWork, Decomposition, PlanCache, Scheduler};
+use serde::Serialize;
+use std::process::ExitCode;
 
 /// The acceptance bar: predicted skinny throughput over data-parallel.
 const GATE: f64 = 1.5;
+
+#[derive(Serialize)]
+struct ShapeRow {
+    shape: String,
+    dp_cycles: f64,
+    skinny_cycles: f64,
+    dp_tflops: f64,
+    skinny_tflops: f64,
+    ratio: f64,
+    auto: &'static str,
+}
+
+#[derive(Serialize)]
+struct Record {
+    device: String,
+    blocks_per_shape: usize,
+    gate: String,
+    worst_ratio: f64,
+    shapes: Vec<ShapeRow>,
+}
 
 /// The tall-skinny grid (every shape has `m, n ≤ 64`, `k ≥ 10^4`).
 const GRID: [(usize, usize, usize); 6] = [
@@ -35,14 +58,8 @@ const GRID: [(usize, usize, usize); 6] = [
     (64, 16, 32768),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/BENCH_tallskinny.json".into());
+fn main() -> ExitCode {
+    let mut study = Study::from_env("tallskinny");
     // Blocks per workload: far fewer than the SM count, the regime
     // tall-skinny GEMMs actually arrive in (one or a handful of deep
     // products at a time). Square-tile DP then strands the device —
@@ -52,7 +69,7 @@ fn main() {
     // decompositions fill the device and the ratio collapses to ~1,
     // which is exactly why the skinny path is latency infrastructure,
     // not throughput infrastructure.
-    let blocks = if quick { 2 } else { 8 };
+    let blocks = if study.quick { 2 } else { 8 };
     let dev = device::gh200();
     let plans = PlanCache::new();
 
@@ -69,67 +86,51 @@ fn main() {
     let mut worst: f64 = f64::INFINITY;
     for &(m, n, k) in &GRID {
         let work = BlockWork::uniform(m, n, k, Precision::Fp16, blocks);
-        let dp = Scheduler::new(&dev)
-            .with_decomposition(Decomposition::DataParallel)
-            .run(&work, &plans)
-            .expect("data-parallel schedules every shape");
-        let sk = Scheduler::new(&dev)
-            .with_decomposition(Decomposition::SkinnyK)
-            .run(&work, &plans)
-            .expect("the grid is inside the skinny regime");
-        let auto = Scheduler::new(&dev)
-            .run(&work, &plans)
-            .expect("auto schedules every shape");
+        let run = |d| {
+            Scheduler::new(&dev)
+                .with_decomposition(d)
+                .run(&work, &plans)
+        };
+        let dp = run(Decomposition::DataParallel).expect("data-parallel schedules every shape");
+        let sk = run(Decomposition::SkinnyK).expect("the grid is inside the skinny regime");
+        let auto = run(Decomposition::Auto).expect("auto schedules every shape");
         let ratio = sk.achieved_tflops / dp.achieved_tflops;
         worst = worst.min(ratio);
+        let shape = format!("{m}x{n}x{k}");
         println!(
-            "{:>16} | {:>12.0} {:>12.0} | {:>10.2} {:>10.2} | {:>7.2}x | {:>9}",
-            format!("{m}x{n}x{k}"),
+            "{shape:>16} | {:>12.0} {:>12.0} | {:>10.2} {:>10.2} | {ratio:>7.2}x | {:>9}",
             dp.makespan_cycles,
             sk.makespan_cycles,
             dp.achieved_tflops,
             sk.achieved_tflops,
-            ratio,
             auto.decomposition.label(),
         );
         // Auto must never leave the skinny win on the table.
         assert!(
             auto.makespan_cycles <= sk.makespan_cycles * (1.0 + 1e-9),
-            "{m}x{n}x{k}: auto ({}) slower than forced Skinny-K",
+            "{shape}: auto ({}) slower than forced Skinny-K",
             auto.decomposition.label()
         );
-        rows.push(format!(
-            "    {{\"shape\": \"{m}x{n}x{k}\", \"dp_cycles\": {:.3}, \"skinny_cycles\": {:.3}, \
-             \"dp_tflops\": {:.4}, \"skinny_tflops\": {:.4}, \"ratio\": {ratio:.4}, \
-             \"auto\": \"{}\"}}",
-            dp.makespan_cycles,
-            sk.makespan_cycles,
-            dp.achieved_tflops,
-            sk.achieved_tflops,
-            auto.decomposition.label(),
-        ));
+        rows.push(ShapeRow {
+            shape,
+            dp_cycles: dp.makespan_cycles,
+            skinny_cycles: sk.makespan_cycles,
+            dp_tflops: dp.achieved_tflops,
+            skinny_tflops: sk.achieved_tflops,
+            ratio,
+            auto: auto.decomposition.label(),
+        });
     }
 
     println!("\nworst skinny/DP throughput ratio over the grid: {worst:.2}x (gate {GATE}x)");
 
-    let json = format!(
-        "{{\n  \"study\": \"tallskinny_study\",\n  \"device\": \"{}\",\n  \
-         \"blocks_per_shape\": {blocks},\n  \"gate\": \"skinny >= {GATE}x DP on every shape\",\n  \
-         \"worst_ratio\": {worst:.4},\n  \"shapes\": [\n{}\n  ]\n}}\n",
-        dev.name,
-        rows.join(",\n"),
-    );
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).expect("create output dir");
-        }
-    }
-    std::fs::write(&out, json).expect("write BENCH_tallskinny.json");
-    println!("wrote {out}");
-
-    if worst < GATE {
-        eprintln!("FAIL: skinny/DP ratio {worst:.2}x under the {GATE}x acceptance bar");
-        std::process::exit(1);
-    }
-    println!("PASS: >= {GATE}x acceptance bar on every grid shape");
+    let gate = format!("skinny >= {GATE}x DP on every shape");
+    study.gate(gate.clone(), worst >= GATE);
+    study.finish(&Record {
+        device: dev.name.clone(),
+        blocks_per_shape: blocks,
+        gate,
+        worst_ratio: worst,
+        shapes: rows,
+    })
 }

@@ -1,6 +1,6 @@
 //! Result tables for the experiment harness: a labelled set of series
 //! over a shared x-axis, with aligned text rendering, speedup summaries
-//! (the §5.2.1-style "avg/max over baseline" lines), and JSON export.
+//! (the §5.2.1-style "avg/max over baseline" lines), and serde export.
 
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -45,6 +45,16 @@ impl Table {
             label: label.into(),
             values,
         });
+    }
+
+    /// Push a series computed at every x.
+    pub(crate) fn push_with(
+        &mut self,
+        label: impl Into<String>,
+        f: impl FnMut(usize) -> Option<f64>,
+    ) {
+        let values = self.x.iter().copied().map(f).collect();
+        self.push_series(label, values);
     }
 
     pub fn series_by_label(&self, label: &str) -> Option<&Series> {
@@ -117,10 +127,6 @@ impl Table {
         }
         out
     }
-
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("table serializes")
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +168,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let t = sample();
-        let parsed: Table = serde_json::from_str(&t.to_json()).unwrap();
+        let parsed: Table = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
         assert_eq!(parsed.x, t.x);
         assert_eq!(parsed.series.len(), 3);
     }

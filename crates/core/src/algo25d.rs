@@ -77,15 +77,7 @@ impl Kami25dConfig {
                 ),
             });
         }
-        if device.peak_tflops(self.precision).is_none() {
-            return Err(KamiError::Unsupported {
-                detail: format!(
-                    "{} has no tensor path for {}",
-                    device.name,
-                    self.precision.label()
-                ),
-            });
-        }
+        crate::config::tensor_path(device, self.precision)?;
         if !m.is_multiple_of(self.q)
             || !n.is_multiple_of(self.q)
             || !k.is_multiple_of(self.c * self.q)

@@ -2,8 +2,22 @@
 //! and how much of the operands to park in shared memory (§4.7 slicing).
 
 use crate::error::KamiError;
-use kami_gpu_sim::{BackendKind, CostConfig, DeviceSpec, Precision};
+use kami_gpu_sim::{shape_for, BackendKind, CostConfig, DeviceSpec, MmaShape, Precision};
 use serde::{Deserialize, Serialize};
+
+/// The native MMA shape `device` runs `precision` on. A device needs
+/// both a peak rate and a vendor MMA shape for a precision; without
+/// either it has no tensor path, and the request is rejected here,
+/// before any staging.
+pub fn tensor_path(device: &DeviceSpec, precision: Precision) -> Result<MmaShape, KamiError> {
+    shape_for(device, precision).ok_or_else(|| KamiError::Unsupported {
+        detail: format!(
+            "{} has no tensor path for {}",
+            device.name,
+            precision.label()
+        ),
+    })
+}
 
 /// The three communication-avoiding schemes of the paper (§4.3–4.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -142,15 +156,7 @@ impl KamiConfig {
                 ),
             });
         }
-        if device.peak_tflops(self.precision).is_none() {
-            return Err(KamiError::Unsupported {
-                detail: format!(
-                    "{} has no tensor path for {}",
-                    device.name,
-                    self.precision.label()
-                ),
-            });
-        }
+        tensor_path(device, self.precision)?;
         let q = self.algo.grid_extent(self.warps)?;
         let err = |detail: String| Err(KamiError::Indivisible { detail });
         match self.algo {
@@ -228,6 +234,30 @@ mod tests {
             cfg.validate(&dev, 64, 64, 64),
             Err(KamiError::Unsupported { .. })
         ));
+    }
+
+    #[test]
+    fn precisions_without_an_mma_shape_are_rejected_before_staging() {
+        use kami_gpu_sim::{device, Matrix};
+        let (a, b) = (Matrix::zeros(32, 32), Matrix::zeros(32, 32));
+        for dev in [device::amd_7900xtx(), device::intel_max1100()] {
+            for prec in [Precision::Tf32, Precision::Fp32, Precision::Fp8E4M3] {
+                // A peak rate alone is no tensor path: the vendor has
+                // no MMA shape for this precision.
+                assert!(dev.peak_tflops(prec).is_some());
+                let cfg = KamiConfig::new(Algo::OneD, prec);
+                let want = format!("{} has no tensor path for {}", dev.name, prec.label());
+                for got in [
+                    crate::gemm_cost(&dev, &cfg, 32, 32, 32).map(|_| ()),
+                    crate::gemm(&dev, &cfg, &a, &b).map(|_| ()),
+                ] {
+                    match got {
+                        Err(KamiError::Unsupported { detail }) => assert_eq!(detail, want),
+                        other => panic!("{} {}: {other:?}", dev.name, prec.label()),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

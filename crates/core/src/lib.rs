@@ -54,7 +54,7 @@ pub use batched::{
     batched_gemm, batched_gemm_varied, estimate_batched, lpt_makespan, schedule_cycles,
     BatchedResult,
 };
-pub use config::{Algo, KamiConfig};
+pub use config::{tensor_path, Algo, KamiConfig};
 pub use epilogue::Epilogue;
 pub use error::KamiError;
 pub use gemm::{

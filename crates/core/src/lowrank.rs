@@ -107,15 +107,7 @@ pub fn lowrank_gemm_colsplit(
             detail: format!("column-split kernel needs p | m and p | n (got {m}x{n}, p={p})"),
         });
     }
-    if device.peak_tflops(cfg.precision).is_none() {
-        return Err(KamiError::Unsupported {
-            detail: format!(
-                "{} has no tensor path for {}",
-                device.name,
-                cfg.precision.label()
-            ),
-        });
-    }
+    crate::config::tensor_path(device, cfg.precision)?;
     let mut s = stage(
         cfg.precision,
         u,

@@ -79,15 +79,7 @@ fn validate(
             }
         }
     }
-    if device.peak_tflops(cfg.precision).is_none() {
-        return Err(KamiError::Unsupported {
-            detail: format!(
-                "{} has no tensor path for {}",
-                device.name,
-                cfg.precision.label()
-            ),
-        });
-    }
+    kami_core::tensor_path(device, cfg.precision)?;
     let _ = bs;
     Ok(q)
 }
