@@ -41,11 +41,7 @@ fn main() {
     let ab = gmem.upload("A", &a, prec);
     let bb = gmem.upload("B", &b, prec);
     let cb = gmem.alloc_zeroed("C", n, n, prec);
-    let kernel = match algo {
-        Algo::OneD => kami_core::algo1d::build_kernel(&cfg, n, n, n, ab, bb, cb, prec),
-        Algo::TwoD => kami_core::algo2d::build_kernel(&cfg, n, n, n, ab, bb, cb, prec),
-        Algo::ThreeD => kami_core::algo3d::build_kernel(&cfg, n, n, n, ab, bb, cb, prec),
-    };
+    let kernel = kami_core::gemm::build_gemm_kernel(&cfg, n, n, n, ab, bb, cb, prec);
 
     let arts = Engine::new(&dev)
         .run_kernel(

@@ -398,11 +398,7 @@ pub fn fig14_registers() -> Table {
             let ab = gmem.upload("A", &Matrix::zeros(m, k), prec);
             let bb = gmem.upload("B", &Matrix::zeros(k, n), prec);
             let cb = gmem.alloc_zeroed("C", m, n, prec);
-            let kern = match algo {
-                Algo::OneD => kami_core::algo1d::build_kernel(&cfg, m, n, k, ab, bb, cb, prec),
-                Algo::TwoD => kami_core::algo2d::build_kernel(&cfg, m, n, k, ab, bb, cb, prec),
-                Algo::ThreeD => kami_core::algo3d::build_kernel(&cfg, m, n, k, ab, bb, cb, prec),
-            };
+            let kern = kami_core::gemm::build_gemm_kernel(&cfg, m, n, k, ab, bb, cb, prec);
             let lazy = Engine::new(&dev).analyze_registers_lazy(&kern);
             Some(f64::from(lazy.into_iter().max().unwrap_or(0)))
         });

@@ -6,9 +6,13 @@
 //! split-k style the 3D algorithm already uses: `p = c·q²` warps form
 //! `c` replication layers of `q×q` grids; layer `l` runs the 2D SUMMA
 //! over the `l`-th `k/c`-chunk (shard k-extent `k/(c·q)`), and the `c`
-//! layer partials reduce into C through global accumulation.
+//! layer partials reduce into C through global accumulation. The kernel
+//! is the one [`LayeredGrid`] builder that KAMI-2D and KAMI-3D use, with
+//! `c` layers and no §4.7 parking; this module holds the configuration,
+//! its validation, the driver and the model formulas.
 //!
-//! * `c = 1` recovers KAMI-2D exactly (one layer, `√p` stages);
+//! * `c = 1` recovers KAMI-2D's stages exactly (one layer, `√p` stages;
+//!   the store is still an accumulate);
 //! * `c = q` recovers KAMI-3D exactly (the cube);
 //! * in between, the stage count — and with it the `L_sm·stages`
 //!   latency term that dominates small blocks — shrinks as
@@ -19,9 +23,9 @@
 
 use crate::error::KamiError;
 use crate::gemm::{product_dims, stage, CStore, GemmResult};
-use crate::layout::{tile_bytes, SmemMap};
+use crate::grid::LayeredGrid;
 use crate::model::cycles::ModelParams;
-use kami_gpu_sim::{BlockKernel, BufferId, DeviceSpec, Engine, Matrix, Precision, RunOptions};
+use kami_gpu_sim::{DeviceSpec, Engine, Matrix, Precision, RunOptions};
 
 /// Configuration of a 2.5D block GEMM: a `q×q` grid replicated over `c`
 /// layers (`p = c·q²` warps).
@@ -53,6 +57,18 @@ impl Kami25dConfig {
 
     pub fn warps(&self) -> usize {
         self.c * self.q * self.q
+    }
+
+    /// The kernel's grid: `c` layers of `q×q`, accumulating C, with no
+    /// §4.7 parking.
+    pub fn grid(&self) -> LayeredGrid {
+        LayeredGrid {
+            q: self.q,
+            layers: self.c,
+            precision: self.precision,
+            smem_fraction: 0.0,
+            accumulate: true,
+        }
     }
 
     pub fn validate(
@@ -93,81 +109,6 @@ impl Kami25dConfig {
     }
 }
 
-/// Position of warp `i`: `(layer, row, col)` on the `c × q × q` prism.
-#[inline]
-fn prism_pos(i: usize, q: usize) -> (usize, usize, usize) {
-    (i / (q * q), (i / q) % q, i % q)
-}
-
-/// Build the 2.5D kernel for `C = A·B`.
-#[allow(clippy::too_many_arguments)]
-pub fn build_kernel(
-    cfg: &Kami25dConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-    a_buf: BufferId,
-    b_buf: BufferId,
-    c_buf: BufferId,
-    c_prec: Precision,
-) -> BlockKernel {
-    let (q, c) = (cfg.q, cfg.c);
-    let (mi, ni) = (m / q, n / q);
-    let kc = k / c; // one layer's k-chunk
-    let ks = k / (c * q); // one shard's k extent
-    let prec = cfg.precision;
-    let map = SmemMap::new(
-        c * q,
-        tile_bytes(mi, ks, prec),
-        c * q,
-        tile_bytes(ks, ni, prec),
-        0,
-    );
-
-    BlockKernel::spmd(cfg.warps(), |i, w| {
-        let (l, r, cc) = prism_pos(i, q);
-        let a_row0 = r * mi;
-        let a_col0 = l * kc + cc * ks;
-        let b_row0 = l * kc + r * ks;
-        let b_col0 = cc * ni;
-
-        let a_own = w.frag("Ai", mi, ks, prec);
-        let b_own = w.frag("Bi", ks, ni, prec);
-        let a_recv = w.frag("ARecv", mi, ks, prec);
-        let b_recv = w.frag("BRecv", ks, ni, prec);
-        let c_i = w.frag("Ci", mi, ni, c_prec);
-
-        w.global_load(a_own, a_buf, a_row0, a_col0);
-        w.global_load(b_own, b_buf, b_row0, b_col0);
-        w.zero_acc(c_i);
-
-        let a_region = l * q + r;
-        let b_region = l * q + cc;
-        for z in 0..q {
-            if cc == z {
-                w.shared_store(a_own, map.a_addr(a_region));
-                w.reg_copy(a_recv, a_own);
-            }
-            if r == z {
-                w.shared_store(b_own, map.b_addr(b_region));
-                w.reg_copy(b_recv, b_own);
-            }
-            w.barrier();
-            if cc != z {
-                w.shared_load(a_recv, map.a_addr(a_region));
-            }
-            if r != z {
-                w.shared_load(b_recv, map.b_addr(b_region));
-            }
-            w.barrier();
-            w.mma(c_i, a_recv, b_recv);
-        }
-
-        // Cross-layer reduction (c partials per C block).
-        w.global_accumulate(c_i, c_buf, r * mi, cc * ni);
-    })
-}
-
 /// Run a 2.5D block GEMM end to end.
 pub fn gemm_25d(
     device: &DeviceSpec,
@@ -177,13 +118,14 @@ pub fn gemm_25d(
 ) -> Result<GemmResult, KamiError> {
     let (m, n, k) = product_dims(a, b)?;
     cfg.validate(device, m, n, k)?;
+    let grid = cfg.grid();
     let mut s = stage(
         cfg.precision,
         a,
         b,
         CStore::Plain,
-        false,
-        |ab, bb, cb, c_prec| build_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
+        true,
+        |ab, bb, cb, c_prec| grid.build_kernel(m, n, k, ab, bb, cb, c_prec),
     )?;
     let opts = RunOptions::default().with_backend(cfg.backend);
     let report = Engine::with_cost(device, cfg.cost.clone())

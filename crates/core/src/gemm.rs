@@ -17,7 +17,8 @@
 //! The cached-plan path ([`crate::gemm_execute_plan_with`]), 2.5D
 //! ([`crate::gemm_25d`]) and the low-rank column-split kernel
 //! ([`crate::lowrank_gemm_colsplit`]) reuse the same staging and
-//! finishing steps with their own kernel builders.
+//! finishing steps. 2D, 3D and 2.5D kernels all come from one
+//! [`LayeredGrid`] builder; the column-split kernel has its own.
 //!
 //! [`gemm_auto`] wraps the driver in the paper's preset-ratio fallback
 //! (§4.7/§5.2.5): if the requested configuration exceeds the
@@ -28,11 +29,10 @@
 //! result.
 
 use crate::algo1d;
-use crate::algo2d;
-use crate::algo3d;
 use crate::config::{Algo, KamiConfig};
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
+use crate::grid::LayeredGrid;
 use crate::tallskinny::{gemm_skinny, is_tall_skinny};
 use kami_gpu_sim::{
     BlockKernel, BufferId, DeviceSpec, Engine, ExecutionReport, FragDecl, GlobalMemory, Matrix, Op,
@@ -285,10 +285,11 @@ pub(crate) fn stage(
     })
 }
 
-/// Build the algorithm kernel for one block GEMM (the single place the
-/// 1D/2D/3D dispatch lives).
+/// Build the algorithm kernel for one block GEMM over the buffers `ab`,
+/// `bb` and `cb` (the single place the 1D/2D/3D dispatch lives). `cfg`
+/// must be valid for `(m, n, k)`, as [`KamiConfig::validate`] checks.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_gemm_kernel(
+pub fn build_gemm_kernel(
     cfg: &KamiConfig,
     m: usize,
     n: usize,
@@ -300,8 +301,7 @@ pub(crate) fn build_gemm_kernel(
 ) -> BlockKernel {
     match cfg.algo {
         Algo::OneD => algo1d::build_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
-        Algo::TwoD => algo2d::build_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
-        Algo::ThreeD => algo3d::build_kernel(cfg, m, n, k, ab, bb, cb, c_prec),
+        Algo::TwoD | Algo::ThreeD => LayeredGrid::of(cfg).build_kernel(m, n, k, ab, bb, cb, c_prec),
     }
 }
 

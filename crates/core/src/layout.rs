@@ -4,23 +4,12 @@
 
 use kami_gpu_sim::Precision;
 
-/// Position of warp `i` in the 2D √p×√p grid: `(row, col)`.
-#[inline]
-pub fn grid_pos(i: usize, q: usize) -> (usize, usize) {
-    (i / q, i % q)
-}
-
-/// Position of warp `i` in the 3D ∛p×∛p×∛p cube: `(layer, row, col)`.
-/// The layer axis parallelizes the k dimension.
+/// Position of warp `i` in a stack of `q×q` grids: `(layer, row, col)`.
+/// The layer axis parallelizes the k dimension; a single 2D grid is
+/// layer 0.
 #[inline]
 pub fn cube_pos(i: usize, q: usize) -> (usize, usize, usize) {
     (i / (q * q), (i / q) % q, i % q)
-}
-
-/// Inverse of [`cube_pos`].
-#[inline]
-pub fn cube_index(layer: usize, row: usize, col: usize, q: usize) -> usize {
-    layer * q * q + row * q + col
 }
 
 /// Byte size of an `rows×cols` tile at `prec`.
@@ -35,9 +24,10 @@ pub fn tile_bytes(rows: usize, cols: usize, prec: Precision) -> usize {
 /// ```text
 /// [ broadcast A: regions 0..a_regions ][ broadcast B: regions 0..b_regions ][ park: per warp ]
 /// ```
-/// The 1D algorithm uses zero A regions and one B region; 2D uses √p of
-/// each (one per grid row / column); 3D uses ∛p² of each (one per
-/// (layer,row) / (layer,col) pair).
+/// The 1D algorithm uses zero A regions and one B region. The layered
+/// grid kernels ([`crate::grid::LayeredGrid`]: 2D, 3D and 2.5D, `L`
+/// stacked `q×q` grids) use `L·q` of each, one per (layer, row) /
+/// (layer, col) pair: `√p` for 2D, `∛p²` for 3D.
 #[derive(Debug, Clone)]
 pub struct SmemMap {
     a_region_bytes: usize,
@@ -110,13 +100,14 @@ mod tests {
 
     #[test]
     fn grid_and_cube_positions() {
-        assert_eq!(grid_pos(5, 4), (1, 1));
-        assert_eq!(grid_pos(0, 2), (0, 0));
+        // One 2D grid is layer 0.
+        assert_eq!(cube_pos(5, 4), (0, 1, 1));
+        assert_eq!(cube_pos(0, 2), (0, 0, 0));
         assert_eq!(cube_pos(7, 2), (1, 1, 1));
         assert_eq!(cube_pos(5, 2), (1, 0, 1));
         for i in 0..27 {
             let (l, r, c) = cube_pos(i, 3);
-            assert_eq!(cube_index(l, r, c, 3), i);
+            assert_eq!(l * 9 + r * 3 + c, i);
         }
     }
 

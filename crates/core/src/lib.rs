@@ -33,13 +33,12 @@
 
 pub mod algo1d;
 pub mod algo25d;
-pub mod algo2d;
-pub mod algo3d;
 pub mod batched;
 pub mod config;
 pub mod epilogue;
 pub mod error;
 pub mod gemm;
+pub mod grid;
 pub mod layout;
 pub mod lowrank;
 pub mod model;

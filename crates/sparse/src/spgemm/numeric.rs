@@ -7,16 +7,18 @@
 //! the (communicated) index arrays lands directly in its accumulator —
 //! no hashing or sorting in the inner loop.
 
-use crate::bsr::{BlockOrder, BlockSparseMatrix};
+use crate::bsr::BlockSparseMatrix;
 use crate::spgemm::symbolic::{symbolic, SymbolicResult};
+use crate::spmm::load_blocks;
 use kami_core::config::{Algo, KamiConfig};
 use kami_core::error::KamiError;
-use kami_core::layout::{cube_pos, grid_pos, tile_bytes, SmemMap};
+use kami_core::grid::LayeredGrid;
+use kami_core::layout::{cube_pos, tile_bytes, SmemMap};
 use kami_gpu_sim::{
     BlockKernel, BufferId, DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision,
     WarpProgram,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Result of a block-level SpGEMM.
 #[derive(Debug, Clone)]
@@ -41,7 +43,7 @@ fn validate(
     a: &BlockSparseMatrix,
     b: &BlockSparseMatrix,
     device: &DeviceSpec,
-) -> Result<usize, KamiError> {
+) -> Result<(), KamiError> {
     if a.cols() != b.rows() || a.block_size() != b.block_size() {
         return Err(KamiError::ShapeMismatch {
             detail: format!(
@@ -82,7 +84,42 @@ fn validate(
         }
     }
     kami_core::tensor_path(device, cfg.precision)?;
-    Ok(q)
+    Ok(())
+}
+
+/// Validate one SpGEMM and stage it: the symbolic phase, A and B
+/// (densified) uploaded at the input precision, C zeroed, and the
+/// numeric kernel built over the three buffers. Returns the memory, the
+/// kernel, C's buffer and the symbolic structure.
+fn stage(
+    device: &DeviceSpec,
+    cfg: &KamiConfig,
+    a: &BlockSparseMatrix,
+    b: &BlockSparseMatrix,
+) -> Result<(GlobalMemory, BlockKernel, BufferId, SymbolicResult), KamiError> {
+    validate(cfg, a, b, device)?;
+    let sym = symbolic(a, b);
+    let prec = cfg.precision;
+    let mut gmem = GlobalMemory::new();
+    let ab = gmem.upload("A", &a.to_dense(), prec);
+    let bb = gmem.upload("B", &b.to_dense(), prec);
+    let cb = gmem.alloc_zeroed("C", a.rows(), b.cols(), prec);
+    let kernel = match cfg.algo {
+        Algo::OneD => build_1d(cfg, a, b, &sym, ab, bb, cb),
+        Algo::TwoD | Algo::ThreeD => build_grid(LayeredGrid::of(cfg), a, b, &sym, ab, bb, cb),
+    };
+    Ok((gmem, kernel, cb, sym))
+}
+
+/// The numeric block kernel [`spgemm`] runs for `cfg`, `a` and `b`,
+/// after the same validation.
+pub fn spgemm_kernel(
+    device: &DeviceSpec,
+    cfg: &KamiConfig,
+    a: &BlockSparseMatrix,
+    b: &BlockSparseMatrix,
+) -> Result<BlockKernel, KamiError> {
+    stage(device, cfg, a, b).map(|(_, kernel, ..)| kernel)
 }
 
 /// Run symbolic + numeric SpGEMM on the simulator.
@@ -92,24 +129,7 @@ pub fn spgemm(
     a: &BlockSparseMatrix,
     b: &BlockSparseMatrix,
 ) -> Result<SpgemmResult, KamiError> {
-    let q = validate(cfg, a, b, device)?;
-    let sym = symbolic(a, b);
-    let bs = a.block_size();
-    let (m, n) = (a.rows(), b.cols());
-    let prec = cfg.precision;
-
-    let a_dense = a.to_dense();
-    let b_dense = b.to_dense();
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("A", &a_dense, prec);
-    let bb = gmem.upload("B", &b_dense, prec);
-    let cb = gmem.alloc_zeroed("C", m, n, prec);
-
-    let kernel = match cfg.algo {
-        Algo::OneD => build_1d(cfg, a, b, &sym, ab, bb, cb),
-        Algo::TwoD => build_2d(cfg, q, a, b, &sym, ab, bb, cb),
-        Algo::ThreeD => build_3d(cfg, q, a, b, &sym, ab, bb, cb),
-    };
+    let (mut gmem, kernel, cb, sym) = stage(device, cfg, a, b)?;
     let report = Engine::with_cost(device, cfg.cost.clone())
         .run_kernel(
             &kernel,
@@ -119,6 +139,7 @@ pub fn spgemm(
         .report;
 
     // Assemble sparse C from the dense buffer along the symbolic pattern.
+    let bs = a.block_size();
     let c_dense = gmem.download(cb);
     let mut entries = Vec::with_capacity(sym.nnz_blocks());
     for i in 0..sym.rows_blk {
@@ -126,7 +147,7 @@ pub fn spgemm(
             entries.push(((i, j), c_dense.submatrix(i * bs, j * bs, bs, bs)));
         }
     }
-    let c = BlockSparseMatrix::from_blocks(m, n, bs, a.order(), entries);
+    let c = BlockSparseMatrix::from_blocks(a.rows(), b.cols(), bs, a.order(), entries);
     Ok(SpgemmResult {
         c,
         report,
@@ -135,7 +156,9 @@ pub fn spgemm(
     })
 }
 
-/// Declare and zero one register accumulator per C block this warp owns.
+/// Declare and zero one register accumulator per C block this warp owns,
+/// keyed by block `(row, col)`. The map iterates in that order, so the
+/// C stores of a kernel come out the same on every build.
 fn declare_c_accumulators(
     w: &mut WarpProgram,
     sym: &SymbolicResult,
@@ -143,8 +166,8 @@ fn declare_c_accumulators(
     col_range: (usize, usize),
     bs: usize,
     prec: Precision,
-) -> HashMap<(usize, usize), usize> {
-    let mut accs = HashMap::new();
+) -> BTreeMap<(usize, usize), usize> {
+    let mut accs = BTreeMap::new();
     for i in row_range.0..row_range.1 {
         for &j in sym.row(i) {
             if (col_range.0..col_range.1).contains(&j) {
@@ -185,23 +208,11 @@ fn build_1d(
     BlockKernel::spmd(p, |i, w| {
         // Own A blocks and C accumulators.
         let owned_a = a.window(i * rbqa, rbqa, 0, a.cols_blk());
-        let a_frags: HashMap<(usize, usize), usize> = owned_a
-            .iter()
-            .map(|&(br, bc, _)| {
-                let f = w.frag(format!("A({br},{bc})"), bs, bs, prec);
-                w.global_load(f, ab, br * bs, bc * bs);
-                ((br, bc), f)
-            })
+        let a_frags: HashMap<(usize, usize), usize> = load_blocks(w, "A", &owned_a, ab, bs, prec)
+            .into_iter()
             .collect();
         let own_b = b.window(i * rbqb, rbqb, 0, b.cols_blk());
-        let b_frags: Vec<((usize, usize), usize)> = own_b
-            .iter()
-            .map(|&(br, bc, _)| {
-                let f = w.frag(format!("B({br},{bc})"), bs, bs, prec);
-                w.global_load(f, bb, br * bs, bc * bs);
-                ((br, bc), f)
-            })
-            .collect();
+        let b_frags = load_blocks(w, "B", &own_b, bb, bs, prec);
         let c_accs = declare_c_accumulators(
             w,
             sym,
@@ -259,127 +270,13 @@ fn build_1d(
     })
 }
 
-/// 2D: A quadrants broadcast along grid rows, B quadrants along grid
-/// columns, both with their index metadata.
-#[allow(clippy::too_many_arguments)]
-fn build_2d(
-    cfg: &KamiConfig,
-    q: usize,
-    a: &BlockSparseMatrix,
-    b: &BlockSparseMatrix,
-    sym: &SymbolicResult,
-    ab: BufferId,
-    bb: BufferId,
-    cbuf: BufferId,
-) -> BlockKernel {
-    let prec = cfg.precision;
-    let bs = a.block_size();
-    let rbqa = a.rows_blk() / q;
-    let cbqa = a.cols_blk() / q;
-    let cbqb = b.cols_blk() / q;
-    let block_bytes = tile_bytes(bs, bs, prec);
-    let a_region = rbqa * cbqa * block_bytes + BlockSparseMatrix::metadata_bytes(rbqa, rbqa * cbqa);
-    let b_region = cbqa * cbqb * block_bytes + BlockSparseMatrix::metadata_bytes(cbqa, cbqa * cbqb);
-    let map = SmemMap::new(q, a_region, q, b_region, 0);
-
-    BlockKernel::spmd(cfg.warps, |i, w| {
-        let (r, c) = grid_pos(i, q);
-        let owned_a = a.window(r * rbqa, rbqa, c * cbqa, cbqa);
-        let a_frags: HashMap<(usize, usize), usize> = owned_a
-            .iter()
-            .map(|&(br, bc, _)| {
-                let f = w.frag(format!("A({br},{bc})"), bs, bs, prec);
-                w.global_load(f, ab, br * bs, bc * bs);
-                ((br, bc), f)
-            })
-            .collect();
-        let owned_b = b.window(r * cbqa, cbqa, c * cbqb, cbqb);
-        let b_frags: Vec<((usize, usize), usize)> = owned_b
-            .iter()
-            .map(|&(br, bc, _)| {
-                let f = w.frag(format!("B({br},{bc})"), bs, bs, prec);
-                w.global_load(f, bb, br * bs, bc * bs);
-                ((br, bc), f)
-            })
-            .collect();
-        let c_accs = declare_c_accumulators(
-            w,
-            sym,
-            (r * rbqa, (r + 1) * rbqa),
-            (c * cbqb, (c + 1) * cbqb),
-            bs,
-            prec,
-        );
-
-        for z in 0..q {
-            let send_a = c == z;
-            let send_b = r == z;
-            let stage_a = a.window(r * rbqa, rbqa, z * cbqa, cbqa);
-            let stage_bw = b.window(z * cbqa, cbqa, c * cbqb, cbqb);
-            let a_meta = BlockSparseMatrix::metadata_bytes(rbqa, stage_a.len());
-            let b_meta = BlockSparseMatrix::metadata_bytes(cbqa, stage_bw.len());
-            if send_a {
-                w.meta_store(map.a_addr(r), a_meta);
-                for (bi, &(br, bc, _)) in stage_a.iter().enumerate() {
-                    w.shared_store(
-                        a_frags[&(br, bc)],
-                        map.a_addr(r) + a_meta + bi * block_bytes,
-                    );
-                }
-            }
-            if send_b {
-                w.meta_store(map.b_addr(c), b_meta);
-                for (bi, ((_, _), f)) in b_frags.iter().enumerate() {
-                    w.shared_store(*f, map.b_addr(c) + b_meta + bi * block_bytes);
-                }
-            }
-            w.barrier();
-            let mut sa: HashMap<(usize, usize), usize> = HashMap::new();
-            let mut sb: HashMap<(usize, usize), usize> = HashMap::new();
-            if send_a {
-                sa = stage_a
-                    .iter()
-                    .map(|&(br, bc, _)| ((br, bc), a_frags[&(br, bc)]))
-                    .collect();
-            } else {
-                w.meta_load(map.a_addr(r), a_meta);
-                for (bi, &(br, bc, _)) in stage_a.iter().enumerate() {
-                    let f = w.frag(format!("AStage{z}({br},{bc})"), bs, bs, prec);
-                    w.shared_load(f, map.a_addr(r) + a_meta + bi * block_bytes);
-                    sa.insert((br, bc), f);
-                }
-            }
-            if send_b {
-                sb = b_frags.iter().copied().collect();
-            } else {
-                w.meta_load(map.b_addr(c), b_meta);
-                for (bi, &(br, bc, _)) in stage_bw.iter().enumerate() {
-                    let f = w.frag(format!("BStage{z}({br},{bc})"), bs, bs, prec);
-                    w.shared_load(f, map.b_addr(c) + b_meta + bi * block_bytes);
-                    sb.insert((br, bc), f);
-                }
-            }
-            w.barrier();
-            for &(br, l, _) in &stage_a {
-                for &(lb, j, _) in &stage_bw {
-                    if lb == l {
-                        w.mma(c_accs[&(br, j)], sa[&(br, l)], sb[&(l, j)]);
-                    }
-                }
-            }
-        }
-        for (&(bi, j), &f) in &c_accs {
-            w.global_store(f, cbuf, bi * bs, j * bs);
-        }
-    })
-}
-
-/// 3D: ∛p layer grids over k-chunks, cross-layer reduction through
+/// 2D and 3D: the [`LayeredGrid`] of the dense kernels — one `√p×√p`
+/// grid for 2D, `∛p` stacked `∛p×∛p` grids over k-chunks for 3D. A
+/// shards broadcast along grid rows, B shards along grid columns, both
+/// with their index metadata; 3D reduces the layer partials through
 /// global-memory accumulation.
-#[allow(clippy::too_many_arguments)]
-fn build_3d(
-    cfg: &KamiConfig,
-    q: usize,
+fn build_grid(
+    grid: LayeredGrid,
     a: &BlockSparseMatrix,
     b: &BlockSparseMatrix,
     sym: &SymbolicResult,
@@ -387,37 +284,30 @@ fn build_3d(
     bb: BufferId,
     cbuf: BufferId,
 ) -> BlockKernel {
-    let prec = cfg.precision;
+    let LayeredGrid {
+        q,
+        layers,
+        precision: prec,
+        ..
+    } = grid;
     let bs = a.block_size();
     let rbqa = a.rows_blk() / q;
-    let cbsa = a.cols_blk() / (q * q); // A shard extent in block cols
+    let cbsa = a.cols_blk() / (layers * q); // A shard extent in block cols
     let cbqb = b.cols_blk() / q;
     let block_bytes = tile_bytes(bs, bs, prec);
     let a_region = rbqa * cbsa * block_bytes + BlockSparseMatrix::metadata_bytes(rbqa, rbqa * cbsa);
     let b_region = cbsa * cbqb * block_bytes + BlockSparseMatrix::metadata_bytes(cbsa, cbsa * cbqb);
-    let map = SmemMap::new(q * q, a_region, q * q, b_region, 0);
+    let map = SmemMap::new(layers * q, a_region, layers * q, b_region, 0);
 
-    BlockKernel::spmd(cfg.warps, |i, w| {
+    BlockKernel::spmd(layers * q * q, |i, w| {
         let (l, r, c) = cube_pos(i, q);
-        let acol0 = |cc: usize| l * (a.cols_blk() / q) + cc * cbsa;
+        let acol0 = |cc: usize| l * (a.cols_blk() / layers) + cc * cbsa;
         let owned_a = a.window(r * rbqa, rbqa, acol0(c), cbsa);
-        let a_frags: HashMap<(usize, usize), usize> = owned_a
-            .iter()
-            .map(|&(br, bc, _)| {
-                let f = w.frag(format!("A({br},{bc})"), bs, bs, prec);
-                w.global_load(f, ab, br * bs, bc * bs);
-                ((br, bc), f)
-            })
+        let a_frags: HashMap<(usize, usize), usize> = load_blocks(w, "A", &owned_a, ab, bs, prec)
+            .into_iter()
             .collect();
         let owned_b = b.window(acol0(r), cbsa, c * cbqb, cbqb);
-        let b_frags: Vec<((usize, usize), usize)> = owned_b
-            .iter()
-            .map(|&(br, bc, _)| {
-                let f = w.frag(format!("B({br},{bc})"), bs, bs, prec);
-                w.global_load(f, bb, br * bs, bc * bs);
-                ((br, bc), f)
-            })
-            .collect();
+        let b_frags = load_blocks(w, "B", &owned_b, bb, bs, prec);
         let c_accs = declare_c_accumulators(
             w,
             sym,
@@ -487,7 +377,11 @@ fn build_3d(
             }
         }
         for (&(bi, j), &f) in &c_accs {
-            w.global_accumulate(f, cbuf, bi * bs, j * bs);
+            if grid.accumulate {
+                w.global_accumulate(f, cbuf, bi * bs, j * bs);
+            } else {
+                w.global_store(f, cbuf, bi * bs, j * bs);
+            }
         }
     })
 }
@@ -543,14 +437,10 @@ pub fn reference_spgemm_dense(
     kami_core::reference::reference_gemm(&a.to_dense(), &b.to_dense(), prec)
 }
 
-/// Convenience: keep ordering knob visible to benches.
-pub fn with_order(m: &BlockSparseMatrix, order: BlockOrder) -> BlockSparseMatrix {
-    BlockSparseMatrix::from_dense(&m.to_dense(), m.block_size(), order, 0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bsr::BlockOrder;
     use crate::gen::random_block_sparse;
     use kami_gpu_sim::device::gh200;
 
@@ -649,5 +539,25 @@ mod tests {
             value_bytes
         );
         assert!(r.report.smem_bytes_written % 2 != 1); // sanity
+    }
+
+    #[test]
+    fn kernel_programs_are_reproducible() {
+        let dev = gh200();
+        let a = random_block_sparse(64, 64, 16, 0.5, BlockOrder::ZMorton, 13);
+        let b = random_block_sparse(64, 64, 16, 0.5, BlockOrder::ZMorton, 14);
+        for (algo, warps) in [(Algo::OneD, 4), (Algo::TwoD, 4), (Algo::ThreeD, 8)] {
+            let cfg = KamiConfig::new(algo, Precision::Fp16).with_warps(warps);
+            let build = || format!("{:?}", spgemm_kernel(&dev, &cfg, &a, &b).unwrap());
+            let first = build();
+            for _ in 0..4 {
+                assert_eq!(
+                    build(),
+                    first,
+                    "{} kernel differs between builds",
+                    algo.label()
+                );
+            }
+        }
     }
 }

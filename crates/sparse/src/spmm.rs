@@ -12,9 +12,11 @@
 use crate::bsr::BlockSparseMatrix;
 use kami_core::config::{Algo, KamiConfig};
 use kami_core::error::KamiError;
-use kami_core::layout::{cube_pos, grid_pos, tile_bytes, SmemMap};
+use kami_core::grid::LayeredGrid;
+use kami_core::layout::{cube_pos, tile_bytes, SmemMap};
 use kami_gpu_sim::{
-    BlockKernel, DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision, WarpProgram,
+    BlockKernel, BufferId, DeviceSpec, Engine, ExecutionReport, GlobalMemory, Matrix, Precision,
+    WarpProgram,
 };
 use rayon::prelude::*;
 
@@ -39,7 +41,7 @@ fn validate(
     a: &BlockSparseMatrix,
     b: &Matrix,
     device: &DeviceSpec,
-) -> Result<usize, KamiError> {
+) -> Result<(), KamiError> {
     if a.cols() != b.rows() {
         return Err(KamiError::ShapeMismatch {
             detail: format!(
@@ -52,7 +54,6 @@ fn validate(
         });
     }
     let q = cfg.algo.grid_extent(cfg.warps)?;
-    let bs = a.block_size();
     let (rb, cb) = (a.rows_blk(), a.cols_blk());
     let n = b.cols();
     let bad = |detail: String| Err(KamiError::Indivisible { detail });
@@ -80,27 +81,61 @@ fn validate(
         }
     }
     kami_core::tensor_path(device, cfg.precision)?;
-    let _ = bs;
-    Ok(q)
+    Ok(())
 }
 
-/// Load a warp's owned A blocks into per-block fragments; returns
-/// `(block_row, block_col, frag)` triples.
-fn load_a_blocks(
+/// Declare one `bs×bs` fragment per block of `blocks`, named
+/// `{name}(row,col)`, and load it from `buf`; returns
+/// `((block_row, block_col), frag)` pairs in block order.
+pub(crate) fn load_blocks(
     w: &mut WarpProgram,
+    name: &str,
     blocks: &[(usize, usize, &Matrix)],
-    a_buf: kami_gpu_sim::BufferId,
+    buf: BufferId,
     bs: usize,
     prec: Precision,
-) -> Vec<(usize, usize, usize)> {
+) -> Vec<((usize, usize), usize)> {
     blocks
         .iter()
         .map(|&(br, bc, _)| {
-            let f = w.frag(format!("A({br},{bc})"), bs, bs, prec);
-            w.global_load(f, a_buf, br * bs, bc * bs);
-            (br, bc, f)
+            let f = w.frag(format!("{name}({br},{bc})"), bs, bs, prec);
+            w.global_load(f, buf, br * bs, bc * bs);
+            ((br, bc), f)
         })
         .collect()
+}
+
+/// Validate one SpMM and stage it: A (densified) and B uploaded at the
+/// input precision, C zeroed, and the kernel built over the three
+/// buffers. Returns the memory, the kernel and C's buffer.
+fn stage(
+    device: &DeviceSpec,
+    cfg: &KamiConfig,
+    a: &BlockSparseMatrix,
+    b: &Matrix,
+) -> Result<(GlobalMemory, BlockKernel, BufferId), KamiError> {
+    validate(cfg, a, b, device)?;
+    let prec = cfg.precision;
+    let mut gmem = GlobalMemory::new();
+    let ab = gmem.upload("A", &a.to_dense(), prec);
+    let bb = gmem.upload("B", b, prec);
+    let cb = gmem.alloc_zeroed("C", a.rows(), b.cols(), prec);
+    let kernel = match cfg.algo {
+        Algo::OneD => build_1d(cfg, a, b.cols(), ab, bb, cb),
+        Algo::TwoD | Algo::ThreeD => build_grid(LayeredGrid::of(cfg), a, b.cols(), ab, bb, cb),
+    };
+    Ok((gmem, kernel, cb))
+}
+
+/// The block kernel [`spmm`] runs for `cfg`, `a` and `b`, after the same
+/// validation.
+pub fn spmm_kernel(
+    device: &DeviceSpec,
+    cfg: &KamiConfig,
+    a: &BlockSparseMatrix,
+    b: &Matrix,
+) -> Result<BlockKernel, KamiError> {
+    stage(device, cfg, a, b).map(|(_, kernel, _)| kernel)
 }
 
 /// Run one block-level SpMM on the simulator.
@@ -110,23 +145,7 @@ pub fn spmm(
     a: &BlockSparseMatrix,
     b: &Matrix,
 ) -> Result<SpmmResult, KamiError> {
-    let q = validate(cfg, a, b, device)?;
-    let bs = a.block_size();
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let prec = cfg.precision;
-    let c_prec = prec;
-
-    let a_dense = a.to_dense();
-    let mut gmem = GlobalMemory::new();
-    let ab = gmem.upload("A", &a_dense, prec);
-    let bb = gmem.upload("B", b, prec);
-    let cb = gmem.alloc_zeroed("C", m, n, c_prec);
-
-    let kernel = match cfg.algo {
-        Algo::OneD => build_1d(cfg, a, ab, bb, cb, bs, m, n, k, c_prec),
-        Algo::TwoD => build_2d(cfg, q, a, ab, bb, cb, bs, m, n, k, c_prec),
-        Algo::ThreeD => build_3d(cfg, q, a, ab, bb, cb, bs, m, n, k, c_prec),
-    };
+    let (mut gmem, kernel, cb) = stage(device, cfg, a, b)?;
     let report = Engine::with_cost(device, cfg.cost.clone())
         .run_kernel(
             &kernel,
@@ -134,7 +153,8 @@ pub fn spmm(
             &kami_gpu_sim::RunOptions::default().with_backend(cfg.backend),
         )?
         .report;
-    let useful_flops = 2 * (bs * bs * n) as u64 * a.nnz_blocks() as u64;
+    let bs = a.block_size();
+    let useful_flops = 2 * (bs * bs * b.cols()) as u64 * a.nnz_blocks() as u64;
     Ok(SpmmResult {
         c: gmem.download(cb),
         report,
@@ -145,21 +165,17 @@ pub fn spmm(
 /// 1D: warp `i` owns a slab of block rows of A and the matching C rows;
 /// B row-slabs broadcast exactly as in dense KAMI-1D. A is never
 /// communicated (its metadata stays warp-local).
-#[allow(clippy::too_many_arguments)]
 fn build_1d(
     cfg: &KamiConfig,
     a: &BlockSparseMatrix,
-    ab: kami_gpu_sim::BufferId,
-    bb: kami_gpu_sim::BufferId,
-    cbuf: kami_gpu_sim::BufferId,
-    bs: usize,
-    _m: usize,
     n: usize,
-    k: usize,
-    c_prec: Precision,
+    ab: BufferId,
+    bb: BufferId,
+    cbuf: BufferId,
 ) -> BlockKernel {
     let p = cfg.warps;
     let prec = cfg.precision;
+    let (bs, k) = (a.block_size(), a.cols());
     let rb = a.rows_blk();
     let rows_per_warp = rb / p;
     let ki = k / p; // dense stage slab height
@@ -167,13 +183,13 @@ fn build_1d(
 
     BlockKernel::spmd(p, |i, w| {
         let owned = a.window(i * rows_per_warp, rows_per_warp, 0, a.cols_blk());
-        let a_frags = load_a_blocks(w, &owned, ab, bs, prec);
+        let a_frags = load_blocks(w, "A", &owned, ab, bs, prec);
         let b_own = w.frag("Bi", ki, n, prec);
         w.global_load(b_own, bb, i * ki, 0);
         let b_recv = w.frag("BRecv", ki, n, prec);
         let c_frags: Vec<usize> = (0..rows_per_warp)
             .map(|r| {
-                let f = w.frag(format!("Ci[{r}]"), bs, n, c_prec);
+                let f = w.frag(format!("Ci[{r}]"), bs, n, prec);
                 w.zero_acc(f);
                 f
             })
@@ -191,7 +207,7 @@ fn build_1d(
             w.barrier();
             // Multiply every owned A block whose column chunk belongs to
             // this stage's B slab (ColBlkIdx traversal).
-            for &(br, bc, f) in &a_frags {
+            for &((br, bc), f) in &a_frags {
                 let col_elem = bc * bs;
                 if col_elem >= z * ki && col_elem < (z + 1) * ki {
                     let local_row = br - i * rows_per_warp;
@@ -205,137 +221,57 @@ fn build_1d(
     })
 }
 
-/// 2D: A quadrants broadcast along grid rows (values + index metadata),
-/// dense B tiles along grid columns.
-#[allow(clippy::too_many_arguments)]
-fn build_2d(
-    cfg: &KamiConfig,
-    q: usize,
+/// 2D and 3D: the [`LayeredGrid`] of the dense kernels — one `√p×√p`
+/// grid for 2D, `∛p` stacked `∛p×∛p` grids for 3D — with layer `l`
+/// handling the `l`-th block-column chunk of A (and row chunk of B).
+/// A shards broadcast along grid rows (values + index metadata), dense
+/// B tiles along grid columns; 3D reduces the layer partials into
+/// global C.
+fn build_grid(
+    grid: LayeredGrid,
     a: &BlockSparseMatrix,
-    ab: kami_gpu_sim::BufferId,
-    bb: kami_gpu_sim::BufferId,
-    cbuf: kami_gpu_sim::BufferId,
-    bs: usize,
-    _m: usize,
     n: usize,
-    k: usize,
-    c_prec: Precision,
+    ab: BufferId,
+    bb: BufferId,
+    cbuf: BufferId,
 ) -> BlockKernel {
-    let prec = cfg.precision;
-    let rb = a.rows_blk();
-    let cb_a = a.cols_blk();
-    let (rbq, cbq) = (rb / q, cb_a / q); // A quadrant extent in blocks
-    let (ni, ki) = (n / q, k / q);
-    let block_bytes = tile_bytes(bs, bs, prec);
-    // A broadcast region per grid row: worst-case quadrant + metadata.
-    let a_region = cbq * rbq * block_bytes + BlockSparseMatrix::metadata_bytes(rbq, rbq * cbq);
-    let map = SmemMap::new(q, a_region, q, tile_bytes(ki, ni, prec), 0);
-
-    BlockKernel::spmd(cfg.warps, |i, w| {
-        let (r, c) = grid_pos(i, q);
-        let owned = a.window(r * rbq, rbq, c * cbq, cbq);
-        let a_frags = load_a_blocks(w, &owned, ab, bs, prec);
-        let b_own = w.frag("Bi", ki, ni, prec);
-        w.global_load(b_own, bb, r * ki, c * ni);
-        let b_recv = w.frag("BRecv", ki, ni, prec);
-        let a_stage = w.frag("AStage", bs, bs, prec);
-        let c_frags: Vec<usize> = (0..rbq)
-            .map(|rr| {
-                let f = w.frag(format!("Ci[{rr}]"), bs, ni, c_prec);
-                w.zero_acc(f);
-                f
-            })
-            .collect();
-
-        for z in 0..q {
-            let send_a = c == z;
-            let send_b = r == z;
-            // The blocks of A quadrant (r, z), in storage order — known to
-            // every warp after the metadata transfer.
-            let stage_blocks = a.window(r * rbq, rbq, z * cbq, cbq);
-            if send_a {
-                let meta = BlockSparseMatrix::metadata_bytes(rbq, stage_blocks.len());
-                w.meta_store(map.a_addr(r), meta);
-                for (bi, &(_, _, _)) in stage_blocks.iter().enumerate() {
-                    let f = a_frags[bi].2; // own quadrant: same order
-                    w.shared_store(f, map.a_addr(r) + meta + bi * block_bytes);
-                }
-            }
-            if send_b {
-                w.shared_store(b_own, map.b_addr(c));
-                w.reg_copy(b_recv, b_own);
-            }
-            w.barrier();
-            if !send_b {
-                w.shared_load(b_recv, map.b_addr(c));
-            }
-            if !send_a {
-                let meta = BlockSparseMatrix::metadata_bytes(rbq, stage_blocks.len());
-                w.meta_load(map.a_addr(r), meta);
-            }
-            w.barrier();
-            for (bi, &(br, bc, _)) in stage_blocks.iter().enumerate() {
-                let local_row = br - r * rbq;
-                let b_off = bc * bs - z * ki;
-                if send_a {
-                    // Sender multiplies straight from its registers.
-                    w.mma_b_rows(c_frags[local_row], a_frags[bi].2, b_recv, b_off, bs);
-                } else {
-                    let meta = BlockSparseMatrix::metadata_bytes(rbq, stage_blocks.len());
-                    w.shared_load(a_stage, map.a_addr(r) + meta + bi * block_bytes);
-                    w.mma_b_rows(c_frags[local_row], a_stage, b_recv, b_off, bs);
-                }
-            }
-            // Third barrier: the compute phase reads shared memory (staged
-            // A blocks), so the next stage's senders must not overwrite
-            // the broadcast regions until everyone is done.
-            w.barrier();
-        }
-        for (rr, &f) in c_frags.iter().enumerate() {
-            w.global_store(f, cbuf, (r * rbq + rr) * bs, c * ni);
-        }
-    })
-}
-
-/// 3D: ∛p layer grids, layer `l` handling the `l`-th block-column chunk
-/// of A (and row chunk of B); cross-layer reduction into global C.
-#[allow(clippy::too_many_arguments)]
-fn build_3d(
-    cfg: &KamiConfig,
-    q: usize,
-    a: &BlockSparseMatrix,
-    ab: kami_gpu_sim::BufferId,
-    bb: kami_gpu_sim::BufferId,
-    cbuf: kami_gpu_sim::BufferId,
-    bs: usize,
-    _m: usize,
-    n: usize,
-    k: usize,
-    c_prec: Precision,
-) -> BlockKernel {
-    let prec = cfg.precision;
+    let LayeredGrid {
+        q,
+        layers,
+        precision: prec,
+        ..
+    } = grid;
+    let (bs, k) = (a.block_size(), a.cols());
     let rb = a.rows_blk();
     let cb_a = a.cols_blk();
     let rbq = rb / q;
-    let cbs = cb_a / (q * q); // shard extent in block cols
+    let cbs = cb_a / (layers * q); // shard extent in block cols
     let ni = n / q;
-    let ks = k / (q * q);
+    let kl = k / layers; // one layer's k-chunk
+    let ks = k / (layers * q);
     let block_bytes = tile_bytes(bs, bs, prec);
+    // A broadcast region per (layer, row): worst-case shard + metadata.
     let a_region = rbq * cbs * block_bytes + BlockSparseMatrix::metadata_bytes(rbq, rbq * cbs);
-    let map = SmemMap::new(q * q, a_region, q * q, tile_bytes(ks, ni, prec), 0);
+    let map = SmemMap::new(
+        layers * q,
+        a_region,
+        layers * q,
+        tile_bytes(ks, ni, prec),
+        0,
+    );
 
-    BlockKernel::spmd(cfg.warps, |i, w| {
+    BlockKernel::spmd(layers * q * q, |i, w| {
         let (l, r, c) = cube_pos(i, q);
-        let col0 = |cc: usize| l * (cb_a / q) + cc * cbs; // shard block-col origin
+        let col0 = |cc: usize| l * (cb_a / layers) + cc * cbs; // shard block-col origin
         let owned = a.window(r * rbq, rbq, col0(c), cbs);
-        let a_frags = load_a_blocks(w, &owned, ab, bs, prec);
+        let a_frags = load_blocks(w, "A", &owned, ab, bs, prec);
         let b_own = w.frag("Bi", ks, ni, prec);
-        w.global_load(b_own, bb, l * (k / q) + r * ks, c * ni);
+        w.global_load(b_own, bb, l * kl + r * ks, c * ni);
         let b_recv = w.frag("BRecv", ks, ni, prec);
         let a_stage = w.frag("AStage", bs, bs, prec);
         let c_frags: Vec<usize> = (0..rbq)
             .map(|rr| {
-                let f = w.frag(format!("Ci[{rr}]"), bs, ni, c_prec);
+                let f = w.frag(format!("Ci[{rr}]"), bs, ni, prec);
                 w.zero_acc(f);
                 f
             })
@@ -346,15 +282,16 @@ fn build_3d(
         for z in 0..q {
             let send_a = c == z;
             let send_b = r == z;
+            // The blocks of A shard (r, z), in storage order — known to
+            // every warp after the metadata transfer.
             let stage_blocks = a.window(r * rbq, rbq, col0(z), cbs);
             let meta = BlockSparseMatrix::metadata_bytes(rbq, stage_blocks.len());
             if send_a {
                 w.meta_store(map.a_addr(a_reg_id), meta);
-                for (bi, _) in stage_blocks.iter().enumerate() {
-                    w.shared_store(
-                        a_frags[bi].2,
-                        map.a_addr(a_reg_id) + meta + bi * block_bytes,
-                    );
+                // The sender's own shard is this stage's: same blocks,
+                // same order.
+                for (bi, &(_, f)) in a_frags.iter().enumerate() {
+                    w.shared_store(f, map.a_addr(a_reg_id) + meta + bi * block_bytes);
                 }
             }
             if send_b {
@@ -371,9 +308,10 @@ fn build_3d(
             w.barrier();
             for (bi, &(br, bc, _)) in stage_blocks.iter().enumerate() {
                 let local_row = br - r * rbq;
-                let b_off = bc * bs - (l * (k / q) + z * ks);
+                let b_off = bc * bs - (l * kl + z * ks);
                 if send_a {
-                    w.mma_b_rows(c_frags[local_row], a_frags[bi].2, b_recv, b_off, bs);
+                    // Sender multiplies straight from its registers.
+                    w.mma_b_rows(c_frags[local_row], a_frags[bi].1, b_recv, b_off, bs);
                 } else {
                     w.shared_load(a_stage, map.a_addr(a_reg_id) + meta + bi * block_bytes);
                     w.mma_b_rows(c_frags[local_row], a_stage, b_recv, b_off, bs);
@@ -385,7 +323,12 @@ fn build_3d(
             w.barrier();
         }
         for (rr, &f) in c_frags.iter().enumerate() {
-            w.global_accumulate(f, cbuf, (r * rbq + rr) * bs, c * ni);
+            let row0 = (r * rbq + rr) * bs;
+            if grid.accumulate {
+                w.global_accumulate(f, cbuf, row0, c * ni);
+            } else {
+                w.global_store(f, cbuf, row0, c * ni);
+            }
         }
     })
 }

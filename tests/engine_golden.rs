@@ -30,7 +30,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test engine_golden
 //! ```
 
-use kami::core::{algo1d, algo2d, algo3d, gemm_fused, gemm_legacy, gemm_scaled, CStore, Epilogue};
+use kami::core::gemm::build_gemm_kernel;
+use kami::core::{gemm_fused, gemm_legacy, gemm_scaled, CStore, Epilogue};
 use kami::prelude::*;
 use kami::sim::{
     shape_for, BlockKernel, BufferId, CostConfig, Engine, ExecutionReport, GlobalMemory,
@@ -150,12 +151,7 @@ fn plain_gmem(prec: Precision, a: &Matrix, b: &Matrix) -> Staged {
 /// The plain-store kernel of one dense case over the buffers of
 /// [`plain_gmem`].
 fn plain_kernel(cfg: &KamiConfig, m: usize, n: usize, k: usize, ids: &[BufferId]) -> BlockKernel {
-    let (ab, bb, cb, prec) = (ids[0], ids[1], ids[2], cfg.precision);
-    match cfg.algo {
-        Algo::OneD => algo1d::build_kernel(cfg, m, n, k, ab, bb, cb, prec),
-        Algo::TwoD => algo2d::build_kernel(cfg, m, n, k, ab, bb, cb, prec),
-        Algo::ThreeD => algo3d::build_kernel(cfg, m, n, k, ab, bb, cb, prec),
-    }
+    build_gemm_kernel(cfg, m, n, k, ids[0], ids[1], ids[2], cfg.precision)
 }
 
 /// `Engine::run_traced` on `kernel`, with the split pipeline held to it:

@@ -111,7 +111,7 @@ fn tracer_accounts_every_category_of_a_kami_kernel() {
     let ab = gmem.upload("A", &a, prec);
     let bb = gmem.upload("B", &b, prec);
     let cb = gmem.alloc_zeroed("C", n, n, prec);
-    let kernel = kami::core::algo2d::build_kernel(&cfg, n, n, n, ab, bb, cb, prec);
+    let kernel = kami::core::gemm::build_gemm_kernel(&cfg, n, n, n, ab, bb, cb, prec);
     let (report, trace) = Engine::new(&dev).run_traced(&kernel, &mut gmem).unwrap();
     assert!((trace.total_cycles() - report.cycles).abs() < 1e-9);
     for kind in [

@@ -150,11 +150,7 @@ fn register_model_ordering() {
             let ab = gmem.upload("A", &Matrix::zeros(m, k), prec);
             let bb = gmem.upload("B", &Matrix::zeros(k, n), prec);
             let cb = gmem.alloc_zeroed("C", m, n, prec);
-            let kern = match algo {
-                Algo::OneD => kami::core::algo1d::build_kernel(&cfg, m, n, k, ab, bb, cb, prec),
-                Algo::TwoD => kami::core::algo2d::build_kernel(&cfg, m, n, k, ab, bb, cb, prec),
-                Algo::ThreeD => kami::core::algo3d::build_kernel(&cfg, m, n, k, ab, bb, cb, prec),
-            };
+            let kern = kami::core::gemm::build_gemm_kernel(&cfg, m, n, k, ab, bb, cb, prec);
             let eng = kami::sim::Engine::new(&dev);
             let conservative = eng
                 .analyze_registers(&kern)
