@@ -110,7 +110,7 @@ fn main() -> ExitCode {
             // Ideal lower bound: every SM streams nonzero iterations at
             // the unit rate with no quantization or fixups.
             let (entry, _) = plans
-                .plan_for(&dev, &work.unit)
+                .plan_for(&dev, &work.unit, None)
                 .expect("plan exists after scheduling");
             let steady = analyze_occupancy_stream(
                 &dev,

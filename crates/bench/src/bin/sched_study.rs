@@ -71,7 +71,7 @@ fn main() -> ExitCode {
         // Closed forms: the wave model extrapolates one tuned block;
         // the steady-state form comes from occupancy::analyze.
         let (entry, _) = plans
-            .plan_for(&dev, &work.items[0])
+            .plan_for(&dev, &work.items[0], None)
             .expect("plan exists after scheduling");
         let wave = estimate_batched(&dev, &entry.tuned.cfg, m, n, k, PAPER_BLOCK_COUNT)
             .expect("wave estimate");

@@ -15,7 +15,7 @@
 
 use crate::config::KamiConfig;
 use crate::error::KamiError;
-use crate::gemm::{exec_auto, exec_gemm_padded, CStore, GemmResult};
+use crate::gemm::{gemm_auto, gemm_padded, GemmResult};
 use kami_gpu_sim::{DeviceSpec, ExecutionReport, Matrix};
 use rayon::prelude::*;
 
@@ -61,23 +61,6 @@ pub fn batched_gemm(
     cfg: &KamiConfig,
     pairs: &[(Matrix, Matrix)],
 ) -> Result<BatchedResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::Batched {
-            pairs: pairs.to_vec(),
-            varied: false,
-        },
-        cfg,
-    )
-    .execute(device)?
-    .into_batched()
-}
-
-/// Engine body of [`batched_gemm`] (shared by the request executor).
-pub(crate) fn exec_batched_gemm(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    pairs: &[(Matrix, Matrix)],
-) -> Result<BatchedResult, KamiError> {
     let Some(((a0, b0), rest)) = pairs.split_first() else {
         return Err(KamiError::ShapeMismatch {
             detail: "empty batch".into(),
@@ -105,7 +88,7 @@ pub(crate) fn exec_batched_gemm(
 
     let results: Vec<Result<GemmResult, KamiError>> = pairs
         .par_iter()
-        .map(|(a, b)| exec_auto(device, cfg, a, b, CStore::Plain))
+        .map(|(a, b)| gemm_auto(device, cfg, a, b))
         .collect();
     let mut outputs = Vec::with_capacity(pairs.len());
     let mut first_report: Option<ExecutionReport> = None;
@@ -141,24 +124,6 @@ pub fn batched_gemm_varied(
     cfg: &KamiConfig,
     pairs: &[(Matrix, Matrix)],
 ) -> Result<BatchedResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::Batched {
-            pairs: pairs.to_vec(),
-            varied: true,
-        },
-        cfg,
-    )
-    .execute(device)?
-    .into_batched()
-}
-
-/// Engine body of [`batched_gemm_varied`] (shared by the request
-/// executor).
-pub(crate) fn exec_batched_gemm_varied(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    pairs: &[(Matrix, Matrix)],
-) -> Result<BatchedResult, KamiError> {
     if pairs.is_empty() {
         return Err(KamiError::ShapeMismatch {
             detail: "empty batch".into(),
@@ -166,7 +131,7 @@ pub(crate) fn exec_batched_gemm_varied(
     }
     let results: Vec<Result<GemmResult, KamiError>> = pairs
         .par_iter()
-        .map(|(a, b)| exec_gemm_padded(device, cfg, a, b))
+        .map(|(a, b)| gemm_padded(device, cfg, a, b))
         .collect();
     let mut outputs = Vec::with_capacity(pairs.len());
     let mut block_cycles = Vec::with_capacity(pairs.len());
@@ -240,7 +205,7 @@ pub fn estimate_batched(
 ) -> Result<BatchedResult, KamiError> {
     let a = Matrix::seeded_uniform(m, k, 0xBA7C);
     let b = Matrix::seeded_uniform(k, n, 0xBA7D);
-    let one = exec_auto(device, cfg, &a, &b, CStore::Plain)?;
+    let one = gemm_auto(device, cfg, &a, &b)?;
     let total_cycles = schedule_cycles(device, one.report.cycles, batch);
     Ok(BatchedResult {
         outputs: vec![one.c],

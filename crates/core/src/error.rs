@@ -18,9 +18,6 @@ pub enum KamiError {
     /// The device cannot run this configuration (no tensor path, too many
     /// warps, ...).
     Unsupported { detail: String },
-    /// A [`crate::request::GemmRequest`] was run without a device
-    /// attached (see `GemmRequest::on_device`).
-    MissingDevice,
     /// Error surfaced by the simulator while executing the kernel.
     Sim(SimError),
 }
@@ -37,12 +34,6 @@ impl fmt::Display for KamiError {
                 write!(f, "smem_fraction {fraction} outside [0, 1)")
             }
             KamiError::Unsupported { detail } => write!(f, "unsupported configuration: {detail}"),
-            KamiError::MissingDevice => {
-                write!(
-                    f,
-                    "request has no device attached (use on_device or execute)"
-                )
-            }
             KamiError::Sim(e) => write!(f, "simulation error: {e}"),
         }
     }

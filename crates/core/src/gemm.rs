@@ -20,6 +20,10 @@
 //! finishing steps. 2D, 3D and 2.5D kernels all come from one
 //! [`LayeredGrid`] builder; the column-split kernel has its own.
 //!
+//! The public functions here are the routines themselves, not wrappers:
+//! a [`crate::GemmRequest`] only resolves its configuration and calls
+//! them.
+//!
 //! [`gemm_auto`] wraps the driver in the paper's preset-ratio fallback
 //! (§4.7/§5.2.5): if the requested configuration exceeds the
 //! 255-registers-per-thread limit, it escalates `smem_fraction` through
@@ -346,9 +350,9 @@ fn drive(
     Ok(s.finish(report, cfg.smem_fraction))
 }
 
-/// Engine body of the strict entry points (shared by the request
-/// executor): one block GEMM on the split plan → cost → execute
-/// pipeline, on `cfg.backend`.
+/// The strict block GEMM for any [`CStore`]: the driver on the split
+/// plan → cost → execute pipeline, on `cfg.backend`. [`gemm`],
+/// [`gemm_scaled`] and [`gemm_fused`] are this call with their store.
 pub(crate) fn exec_direct(
     device: &DeviceSpec,
     cfg: &KamiConfig,
@@ -378,8 +382,8 @@ pub fn gemm_legacy(
     })
 }
 
-/// Engine body of the auto entry points: the driver under the §4.7
-/// fallback ladder. Tall-skinny shapes (including the transposed wide
+/// [`exec_direct`] under the §4.7 fallback ladder ([`gemm_auto`] with
+/// any [`CStore`]). Tall-skinny shapes (including the transposed wide
 /// case arriving via [`gemm_t`]) route to the k-split path unless the
 /// store is scaled — no monolithic configuration fits them, so the
 /// ladder alone could only fail.
@@ -399,23 +403,13 @@ pub(crate) fn exec_auto(
 }
 
 /// Run one KAMI block GEMM: `C = A·B` with `A: m×k`, `B: k×n`.
-///
-/// Thin wrapper over the unified request API: builds a
-/// [`crate::request::GemmRequest`] pinned to `cfg` and executes it.
 pub fn gemm(
     device: &DeviceSpec,
     cfg: &KamiConfig,
     a: &Matrix,
     b: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::Gemm {
-            a: a.clone(),
-            b: b.clone(),
-        },
-        cfg,
-    )
-    .execute_single(device)
+    exec_direct(device, cfg, a, b, CStore::Plain)
 }
 
 /// Full BLAS-style GEMM: `C = alpha·A·B + beta·C0`.
@@ -440,15 +434,7 @@ pub fn gemm_scaled(
     beta: f64,
     c0: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::Gemm {
-            a: a.clone(),
-            b: b.clone(),
-        },
-        cfg,
-    )
-    .scaled(alpha, beta, c0.clone())
-    .execute_single(device)
+    exec_direct(device, cfg, a, b, CStore::Scaled { alpha, beta, c0 })
 }
 
 /// The `alpha == 0` epilogue: `C = beta·C0` without touching `A`/`B`.
@@ -513,15 +499,7 @@ pub fn gemm_fused(
     b: &Matrix,
     epilogue: &Epilogue,
 ) -> Result<GemmResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::Gemm {
-            a: a.clone(),
-            b: b.clone(),
-        },
-        cfg,
-    )
-    .with_epilogue(epilogue.clone())
-    .execute_single(device)
+    exec_direct(device, cfg, a, b, CStore::Fused(epilogue))
 }
 
 /// Operand orientation, cuBLAS-style (`CUBLAS_OP_N` / `CUBLAS_OP_T`).
@@ -558,7 +536,7 @@ pub fn gemm_t(
 ) -> Result<GemmResult, KamiError> {
     let at = op_a.apply(a);
     let bt = op_b.apply(b);
-    exec_auto(device, cfg, &at, &bt, CStore::Plain)
+    gemm_auto(device, cfg, &at, &bt)
 }
 
 /// The §4.7 fallback ladder: fractions tried, in order, after the
@@ -574,14 +552,7 @@ pub fn gemm_auto(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::GemmAuto {
-            a: a.clone(),
-            b: b.clone(),
-        },
-        cfg,
-    )
-    .execute_single(device)
+    exec_auto(device, cfg, a, b, CStore::Plain)
 }
 
 /// Run `attempt` at the requested `smem_fraction`, escalating through
@@ -642,33 +613,16 @@ pub fn gemm_padded(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::GemmPadded {
-            a: a.clone(),
-            b: b.clone(),
-        },
-        cfg,
-    )
-    .execute_single(device)
-}
-
-/// Engine body of [`gemm_padded`] (shared by the request executor).
-pub(crate) fn exec_gemm_padded(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<GemmResult, KamiError> {
     let (m, n, k) = product_dims(a, b)?;
     let (mp, np, kp) = padded_dims(cfg, m, n, k);
     if (mp, np, kp) == (m, n, k) {
-        return exec_auto(device, cfg, a, b, CStore::Plain);
+        return gemm_auto(device, cfg, a, b);
     }
     let mut ap = Matrix::zeros(mp, kp);
     ap.set_submatrix(0, 0, a);
     let mut bp = Matrix::zeros(kp, np);
     bp.set_submatrix(0, 0, b);
-    let mut res = exec_auto(device, cfg, &ap, &bp, CStore::Plain)?;
+    let mut res = gemm_auto(device, cfg, &ap, &bp)?;
     res.c = res.c.submatrix(0, 0, m, n);
     res.useful_flops = 2 * (m as u64) * (n as u64) * (k as u64);
     Ok(res)

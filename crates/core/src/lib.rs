@@ -61,7 +61,7 @@ pub use gemm::{
     CStore, GemmResult, MatOp, FALLBACK_FRACTIONS,
 };
 pub use lowrank::{auto_warps, lowrank_gemm, lowrank_gemm_colsplit, MAX_LOW_RANK};
-pub use plan::{gemm_cost, gemm_cost_auto, gemm_execute_plan, gemm_execute_plan_with, GemmPlan};
+pub use plan::{gemm_cost, gemm_cost_auto, gemm_execute_plan_with, GemmPlan};
 pub use reference::{reference_gemm, reference_gemm_f64};
 pub use request::{GemmRequest, GemmResponse, Op};
 pub use tallskinny::{

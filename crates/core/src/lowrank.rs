@@ -27,7 +27,7 @@
 
 use crate::config::{Algo, KamiConfig};
 use crate::error::KamiError;
-use crate::gemm::{exec_auto, stage, CStore, GemmResult};
+use crate::gemm::{gemm_auto, stage, CStore, GemmResult};
 use crate::layout::{tile_bytes, SmemMap};
 use kami_gpu_sim::{BlockKernel, BufferId, DeviceSpec, Engine, Matrix, Precision, RunOptions};
 
@@ -135,23 +135,6 @@ pub fn lowrank_gemm(
     u: &Matrix,
     v: &Matrix,
 ) -> Result<GemmResult, KamiError> {
-    crate::request::GemmRequest::from_config(
-        crate::request::Op::Lowrank {
-            u: u.clone(),
-            v: v.clone(),
-        },
-        cfg,
-    )
-    .execute_single(device)
-}
-
-/// Engine body of [`lowrank_gemm`] (shared by the request executor).
-pub(crate) fn exec_lowrank_gemm(
-    device: &DeviceSpec,
-    cfg: &KamiConfig,
-    u: &Matrix,
-    v: &Matrix,
-) -> Result<GemmResult, KamiError> {
     let k = u.cols();
     if k > MAX_LOW_RANK {
         return Err(KamiError::Unsupported {
@@ -160,7 +143,7 @@ pub(crate) fn exec_lowrank_gemm(
     }
     match cfg.algo {
         Algo::OneD => lowrank_gemm_colsplit(device, cfg, u, v),
-        _ => exec_auto(device, cfg, u, v, CStore::Plain),
+        _ => gemm_auto(device, cfg, u, v),
     }
 }
 

@@ -8,7 +8,7 @@
 //! the cost pass is deterministic in the shape class, a plan can be
 //! cached and reused for every request with the same shape — that is
 //! exactly what `kami-sched`'s `PlanCache` does — while
-//! [`gemm_execute_plan`] runs only the execute pass (numerics) per
+//! [`gemm_execute_plan_with`] runs only the execute pass (numerics) per
 //! request.
 
 use crate::config::KamiConfig;
@@ -94,26 +94,14 @@ pub fn gemm_cost_auto(
 }
 
 /// Execute pass only: run the numerics of a costed shape class against
-/// real operands. The kernel is rebuilt deterministically from the
-/// plan's shape class (buffer ids depend only on declaration order), so
-/// the run skips the cost pass entirely and the returned report is the
-/// plan's cached one. Executes on the plan's configured backend
-/// (`plan.cfg.backend`).
-pub fn gemm_execute_plan(
-    device: &DeviceSpec,
-    plan: &GemmPlan,
-    a: &Matrix,
-    b: &Matrix,
-) -> Result<GemmResult, KamiError> {
-    gemm_execute_plan_with(device, plan, a, b, plan.cfg.backend)
-}
-
-/// [`gemm_execute_plan`] on an explicit [`BackendKind`], overriding the
-/// plan's own. Plans are backend-independent (the cost pass never
-/// touches matrix data), so shared plan caches hand the same
-/// [`GemmPlan`] to executors with different backend choices — this is
-/// the entry they use, and what `kami-serve`'s warm path calls with
-/// its `ServerConfig` backend.
+/// real operands on `backend`. The kernel is rebuilt deterministically
+/// from the plan's shape class (buffer ids depend only on declaration
+/// order), so the run skips the cost pass entirely and the returned
+/// report is the plan's cached one. Plans are backend-independent (the
+/// cost pass never touches matrix data), so shared plan caches hand the
+/// same [`GemmPlan`] to executors with different backend choices;
+/// `kami-serve`'s warm path passes its `ServerConfig` backend, and a
+/// caller wanting the plan's own passes `plan.cfg.backend`.
 pub fn gemm_execute_plan_with(
     device: &DeviceSpec,
     plan: &GemmPlan,
@@ -185,7 +173,7 @@ mod tests {
         let b = Matrix::seeded_uniform(32, 32, 4);
         let full = gemm(&dev, &cfg, &a, &b).unwrap();
         let plan = gemm_cost(&dev, &cfg, 32, 32, 32).unwrap();
-        let split = gemm_execute_plan(&dev, &plan, &a, &b).unwrap();
+        let split = gemm_execute_plan_with(&dev, &plan, &a, &b, plan.cfg.backend).unwrap();
         assert_eq!(split.c.max_abs_diff(&full.c), 0.0);
         assert_eq!(split.report.cycles, full.report.cycles);
     }
@@ -215,7 +203,9 @@ mod tests {
                 32,
             )
             .unwrap();
-            let via_cfg = gemm_execute_plan(&dev, &plan_native, &a, &b).unwrap();
+            let via_cfg =
+                gemm_execute_plan_with(&dev, &plan_native, &a, &b, plan_native.cfg.backend)
+                    .unwrap();
             assert_eq!(sim.c.max_abs_diff(&via_cfg.c), 0.0);
         }
     }
@@ -285,7 +275,7 @@ mod tests {
         let wrong = Matrix::zeros(8, 16);
         let ok = Matrix::zeros(16, 16);
         assert!(matches!(
-            gemm_execute_plan(&dev, &plan, &wrong, &ok),
+            gemm_execute_plan_with(&dev, &plan, &wrong, &ok, plan.cfg.backend),
             Err(KamiError::ShapeMismatch { .. })
         ));
     }
@@ -308,7 +298,7 @@ mod tests {
         let full = crate::gemm::gemm_auto(&dev, &cfg, &a, &b).unwrap();
         assert_eq!(plan.smem_fraction, full.smem_fraction);
         assert_eq!(plan.report.cycles, full.report.cycles);
-        let split = gemm_execute_plan(&dev, &plan, &a, &b).unwrap();
+        let split = gemm_execute_plan_with(&dev, &plan, &a, &b, plan.cfg.backend).unwrap();
         assert_eq!(split.c.max_abs_diff(&full.c), 0.0);
     }
 }

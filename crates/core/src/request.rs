@@ -2,16 +2,16 @@
 //! expressed as one buildable value.
 //!
 //! A [`GemmRequest`] captures *what* to compute (operands and operation
-//! kind), *how* to compute it (precision, algorithm hint, warps, shared-
-//! memory fraction, cost model), and *under which service constraints*
-//! (target device, deadline in simulated cycles). The classic free
-//! functions — [`crate::gemm()`], [`crate::gemm_auto`],
-//! [`crate::gemm_padded`], [`crate::batched_gemm`],
-//! [`crate::lowrank_gemm`] — are thin wrappers that construct a
-//! `GemmRequest` and execute it, so every call site in the workspace
-//! goes through this single path. Service layers (kami-serve) queue
-//! `GemmRequest`s directly and coalesce compatible ones into one
-//! device-wide work pool.
+//! kind) and *how* to compute it (precision, algorithm hint, warps,
+//! shared-memory fraction, cost model, backend). Executing one checks
+//! that the op supports the request's scalars and epilogue, resolves
+//! the configuration (autotuning an unpinned one), and calls the free
+//! function that is the routine — [`crate::gemm()`],
+//! [`crate::gemm_auto`], [`crate::gemm_padded`], [`crate::gemm_25d`],
+//! [`crate::batched_gemm`], [`crate::batched_gemm_varied`] or
+//! [`crate::lowrank_gemm`] — so a request and a direct call run the
+//! same body. Service layers (kami-serve) queue `GemmRequest`s and
+//! coalesce compatible ones into one device-wide work pool.
 //!
 //! ```
 //! use kami_core::request::GemmRequest;
@@ -30,14 +30,13 @@
 //! ```
 
 use crate::algo25d::{gemm_25d, Kami25dConfig};
-use crate::batched::{exec_batched_gemm, exec_batched_gemm_varied, BatchedResult};
+use crate::batched::{batched_gemm, batched_gemm_varied, BatchedResult};
 use crate::config::{Algo, KamiConfig};
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
-use crate::gemm::{exec_auto, exec_direct, exec_gemm_padded, CStore, GemmResult};
-use crate::lowrank::exec_lowrank_gemm;
+use crate::gemm::{exec_auto, exec_direct, gemm_padded, CStore, GemmResult};
+use crate::lowrank::lowrank_gemm;
 use crate::model::skinny::{is_tall_skinny, SKINNY_CHUNK_K};
-use crate::plan::{gemm_cost, gemm_cost_auto, gemm_execute_plan_with, GemmPlan};
 use crate::tune::SharedTuner;
 use kami_gpu_sim::{BackendKind, CostConfig, DeviceSpec, Matrix, Precision};
 
@@ -132,8 +131,7 @@ impl GemmResponse {
 ///
 /// Built with the `GemmRequest::gemm` / `gemm_auto` / `gemm_padded` /
 /// `gemm_25d` / `batched` / `lowrank` constructors plus chainable
-/// setters; executed with [`GemmRequest::execute`] (explicit device) or
-/// [`GemmRequest::run`] (device attached via [`GemmRequest::on_device`]).
+/// setters; executed with [`GemmRequest::execute`].
 #[derive(Debug, Clone)]
 pub struct GemmRequest {
     /// What to compute.
@@ -161,13 +159,6 @@ pub struct GemmRequest {
     /// and results are identical across backends). `None` keeps the
     /// resolved configuration's backend.
     pub backend: Option<BackendKind>,
-    /// Device the request is destined for (used by [`GemmRequest::run`]
-    /// and by service layers for placement).
-    pub device: Option<DeviceSpec>,
-    /// End-to-end service deadline in simulated device cycles,
-    /// charged from the clock at admission — retries and backoff
-    /// parking all spend this same budget. `None` = best effort.
-    pub deadline_cycles: Option<f64>,
 }
 
 impl GemmRequest {
@@ -184,8 +175,6 @@ impl GemmRequest {
             smem_fraction: None,
             cost: None,
             backend: None,
-            device: None,
-            deadline_cycles: None,
         }
     }
 
@@ -236,9 +225,9 @@ impl GemmRequest {
         Self::new(Op::Lowrank { u, v }, Precision::Fp16)
     }
 
-    /// Build a request from a classic [`KamiConfig`] — the bridge used
-    /// by the wrapper functions, pinning algo/warps/fraction/cost so the
-    /// request resolves to exactly that configuration.
+    /// Build a request from a classic [`KamiConfig`], pinning
+    /// algo/warps/fraction/cost/backend so the request resolves to
+    /// exactly that configuration.
     pub fn from_config(op: Op, cfg: &KamiConfig) -> Self {
         let mut r = Self::new(op, cfg.precision);
         r.algo = Some(cfg.algo);
@@ -302,19 +291,6 @@ impl GemmRequest {
     /// Fuse an [`Epilogue`] into the kernel's store phase.
     pub fn with_epilogue(mut self, epilogue: Epilogue) -> Self {
         self.epilogue = Some(epilogue);
-        self
-    }
-
-    /// Attach the destination device.
-    pub fn on_device(mut self, device: DeviceSpec) -> Self {
-        self.device = Some(device);
-        self
-    }
-
-    /// End-to-end service deadline in simulated cycles, charged from
-    /// admission across every retry.
-    pub fn deadline(mut self, cycles: f64) -> Self {
-        self.deadline_cycles = Some(cycles);
         self
     }
 
@@ -412,67 +388,6 @@ impl GemmRequest {
         Ok(self.apply_overrides(cfg))
     }
 
-    /// The dense operand pair of a pass-level request, or a typed error
-    /// for op kinds the split cost/execute pipeline does not describe
-    /// (batched, 2.5D, low-rank) and for non-plain requests (the plan's
-    /// kernel is the plain product — alpha/beta and epilogues change it).
-    fn plan_operands(&self) -> Result<(&Matrix, &Matrix), KamiError> {
-        if !self.is_plain() {
-            return Err(KamiError::Unsupported {
-                detail: "pass-level entry points describe plain products only \
-                     (alpha = 1, beta = 0, no C0, no epilogue)"
-                    .into(),
-            });
-        }
-        match &self.op {
-            Op::Gemm { a, b } | Op::GemmAuto { a, b } => Ok((a, b)),
-            other => Err(KamiError::Unsupported {
-                detail: format!(
-                    "pass-level entry points cover strict/auto block GEMM, not {}",
-                    other.label()
-                ),
-            }),
-        }
-    }
-
-    /// Cost pass only — the request-driven twin of
-    /// [`crate::gemm_cost`]: resolve the configuration on `device`
-    /// (honoring every override, including [`GemmRequest::backend`])
-    /// and charge cycles for the request's shape class without touching
-    /// operand values. The returned [`GemmPlan`] feeds
-    /// [`GemmRequest::execute_with_plan`] or any shared plan cache.
-    pub fn cost_plan(&self, device: &DeviceSpec) -> Result<GemmPlan, KamiError> {
-        self.plan_operands()?;
-        let (m, n, k) = self.shape();
-        let cfg = self.resolve_config(device)?;
-        gemm_cost(device, &cfg, m, n, k)
-    }
-
-    /// [`GemmRequest::cost_plan`] with the §4.7 preset-ratio fallback
-    /// ladder — the request-driven twin of [`crate::gemm_cost_auto`].
-    pub fn cost_plan_auto(&self, device: &DeviceSpec) -> Result<GemmPlan, KamiError> {
-        self.plan_operands()?;
-        let (m, n, k) = self.shape();
-        let cfg = self.resolve_config(device)?;
-        gemm_cost_auto(device, &cfg, m, n, k)
-    }
-
-    /// Execute pass only — the request-driven twin of
-    /// [`crate::gemm_execute_plan`]: run this request's operands
-    /// through a previously costed plan. The request's
-    /// [`GemmRequest::backend`] override, when set, takes precedence
-    /// over the plan's own, so one cached plan serves executors with
-    /// different backend choices.
-    pub fn execute_with_plan(
-        &self,
-        device: &DeviceSpec,
-        plan: &GemmPlan,
-    ) -> Result<GemmResult, KamiError> {
-        let (a, b) = self.plan_operands()?;
-        let backend = self.backend.unwrap_or(plan.cfg.backend);
-        gemm_execute_plan_with(device, plan, a, b, backend)
-    }
-
     /// The explicit warp/fraction/cost/backend overrides, applied on
     /// top of a resolved base configuration.
     fn apply_overrides(&self, mut cfg: KamiConfig) -> KamiConfig {
@@ -508,50 +423,16 @@ impl GemmRequest {
         device: &DeviceSpec,
         tuner: &SharedTuner,
     ) -> Result<GemmResponse, KamiError> {
-        match &self.op {
-            Op::Batched { pairs, varied } => {
-                if !self.is_plain() {
-                    return Err(KamiError::Unsupported {
-                        detail: "alpha/beta scaling is not defined for batched requests".into(),
-                    });
-                }
-                let cfg = self.resolve_config_cached(device, tuner)?;
-                let res = if *varied {
-                    exec_batched_gemm_varied(device, &cfg, pairs)?
-                } else {
-                    exec_batched_gemm(device, &cfg, pairs)?
-                };
-                Ok(GemmResponse::Batched(res))
-            }
-            _ => self.execute_one(device, tuner).map(GemmResponse::Single),
-        }
-    }
-
-    /// Execute a single-block request (everything except `Op::Batched`).
-    pub fn execute_single(&self, device: &DeviceSpec) -> Result<GemmResult, KamiError> {
-        self.execute_one(device, &SharedTuner::new())
-    }
-
-    fn execute_one(
-        &self,
-        device: &DeviceSpec,
-        tuner: &SharedTuner,
-    ) -> Result<GemmResult, KamiError> {
-        if self.epilogue.is_some() && !self.scalars_plain() {
-            return Err(KamiError::Unsupported {
-                detail: "fused epilogue requires a plain product (alpha = 1, beta = 0, no C0)"
-                    .into(),
-            });
-        }
-        let plain = self.is_plain();
+        self.check_support()?;
         let resolve = || self.resolve_config_cached(device, tuner);
+        let single = GemmResponse::Single;
         match &self.op {
             Op::Gemm { a, b } | Op::GemmAuto { a, b } => {
                 let cfg = resolve()?;
                 let zeros;
                 let store = match (&self.epilogue, &self.c0) {
                     (Some(epi), _) => CStore::Fused(epi),
-                    _ if plain => CStore::Plain,
+                    _ if self.scalars_plain() => CStore::Plain,
                     (None, c0) => CStore::Scaled {
                         alpha: self.alpha,
                         beta: self.beta,
@@ -566,36 +447,13 @@ impl GemmRequest {
                     },
                 };
                 if matches!(self.op, Op::Gemm { .. }) {
-                    exec_direct(device, &cfg, a, b, store)
+                    exec_direct(device, &cfg, a, b, store).map(single)
                 } else {
-                    exec_auto(device, &cfg, a, b, store)
+                    exec_auto(device, &cfg, a, b, store).map(single)
                 }
             }
-            Op::GemmPadded { a, b } => {
-                if self.epilogue.is_some() {
-                    // Zero padding corrupts a row-wise softmax (the
-                    // padded columns contribute exp(0) mass) and wastes
-                    // bias reads; keep the support matrix honest.
-                    return Err(KamiError::Unsupported {
-                        detail: "fused epilogues are not defined for padded requests".into(),
-                    });
-                }
-                if !plain {
-                    return Err(KamiError::Unsupported {
-                        detail: "alpha/beta scaling is not defined for padded requests".into(),
-                    });
-                }
-                let cfg = resolve()?;
-                exec_gemm_padded(device, &cfg, a, b)
-            }
+            Op::GemmPadded { a, b } => gemm_padded(device, &resolve()?, a, b).map(single),
             Op::TwoHalfD { a, b, q, c } => {
-                if !plain {
-                    return Err(KamiError::Unsupported {
-                        detail: "alpha/beta scaling and fused epilogues are not defined for 2.5D \
-                             requests"
-                            .into(),
-                    });
-                }
                 let mut cfg25 = Kami25dConfig::new(*q, *c, self.precision);
                 if let Some(cost) = &self.cost {
                     cfg25.cost = cost.clone();
@@ -603,31 +461,49 @@ impl GemmRequest {
                 if let Some(bk) = self.backend {
                     cfg25.backend = bk;
                 }
-                gemm_25d(device, &cfg25, a, b)
+                gemm_25d(device, &cfg25, a, b).map(single)
             }
-            Op::Lowrank { u, v } => {
-                if !plain {
-                    return Err(KamiError::Unsupported {
-                        detail: "alpha/beta scaling is not defined for low-rank requests".into(),
-                    });
-                }
+            Op::Batched { pairs, varied } => {
                 let cfg = resolve()?;
-                exec_lowrank_gemm(device, &cfg, u, v)
+                let run = if *varied {
+                    batched_gemm_varied
+                } else {
+                    batched_gemm
+                };
+                run(device, &cfg, pairs).map(GemmResponse::Batched)
             }
-            Op::Batched { .. } => Err(KamiError::Unsupported {
-                detail: "batched request cannot produce a single GemmResult".into(),
-            }),
+            Op::Lowrank { u, v } => lowrank_gemm(device, &resolve()?, u, v).map(single),
         }
     }
 
-    /// Execute on the attached device ([`GemmRequest::on_device`]).
-    pub fn run(&self) -> Result<GemmResponse, KamiError> {
-        match &self.device {
-            Some(dev) => {
-                let dev = dev.clone();
-                self.execute(&dev)
-            }
-            None => Err(KamiError::MissingDevice),
+    /// The one support check: whether this op defines the request's
+    /// alpha/beta scalars and its fused epilogue. Only strict and auto
+    /// block GEMM define either, and a fused epilogue needs a plain
+    /// product under it. Padded requests take no epilogue because zero
+    /// padding corrupts a row-wise softmax (the padded columns
+    /// contribute `exp(0)` mass) and wastes bias reads.
+    fn check_support(&self) -> Result<(), KamiError> {
+        let scaled = !self.scalars_plain();
+        let fused = self.epilogue.is_some();
+        let unsupported = |detail: String| Err(KamiError::Unsupported { detail });
+        match (&self.op, scaled, fused) {
+            (_, false, false) => Ok(()),
+            (Op::Gemm { .. } | Op::GemmAuto { .. }, true, true) => unsupported(
+                "fused epilogue requires a plain product (alpha = 1, beta = 0, no C0)".into(),
+            ),
+            (Op::Gemm { .. } | Op::GemmAuto { .. }, ..) => Ok(()),
+            (op, true, false) => unsupported(format!(
+                "alpha/beta scaling is not defined for {} requests",
+                op.label()
+            )),
+            (op, false, true) => unsupported(format!(
+                "fused epilogues are not defined for {} requests",
+                op.label()
+            )),
+            (op, true, true) => unsupported(format!(
+                "alpha/beta scaling and fused epilogues are not defined for {} requests",
+                op.label()
+            )),
         }
     }
 }
@@ -691,35 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn pass_level_twins_match_free_functions() {
-        let dev = gh200();
-        let a = Matrix::seeded_uniform(32, 32, 21);
-        let b = Matrix::seeded_uniform(32, 32, 22);
-        let req = GemmRequest::gemm(a.clone(), b.clone())
-            .precision(Precision::Fp16)
-            .algo(Algo::TwoD);
-        let plan = req.cost_plan(&dev).unwrap();
-        let cfg = req.resolve_config(&dev).unwrap();
-        let direct = crate::plan::gemm_cost(&dev, &cfg, 32, 32, 32).unwrap();
-        assert_eq!(
-            serde_json::to_string(&plan.report).unwrap(),
-            serde_json::to_string(&direct.report).unwrap()
-        );
-        let via = req.execute_with_plan(&dev, &plan).unwrap();
-        let free = crate::plan::gemm_execute_plan(&dev, &direct, &a, &b).unwrap();
-        assert_eq!(via.c.max_abs_diff(&free.c), 0.0);
-        // The auto twin escalates like the free ladder.
-        let big = GemmRequest::gemm(
-            Matrix::seeded_uniform(128, 128, 23),
-            Matrix::seeded_uniform(128, 128, 24),
-        )
-        .precision(Precision::Fp16)
-        .algo(Algo::OneD);
-        let auto = big.cost_plan_auto(&dev).unwrap();
-        assert!(auto.smem_fraction > 0.0);
-    }
-
-    #[test]
     fn backend_override_flows_into_resolved_config_and_plan_execute() {
         use kami_gpu_sim::BackendKind;
         let dev = gh200();
@@ -743,40 +590,54 @@ mod tests {
             &cfg,
         );
         assert_eq!(pinned.backend, Some(BackendKind::Native));
-        // Native execution through the request twins is bit-identical.
-        let plan = req.cost_plan(&dev).unwrap();
-        let native = req.execute_with_plan(&dev, &plan).unwrap();
+        // Native execution through the request is bit-identical.
+        let native = req.execute(&dev).unwrap().into_single().unwrap();
         let sim = req
             .clone()
             .backend(BackendKind::Sim)
-            .execute_with_plan(&dev, &plan)
+            .execute(&dev)
+            .unwrap()
+            .into_single()
             .unwrap();
         assert_eq!(native.c.max_abs_diff(&sim.c), 0.0);
     }
 
     #[test]
-    fn pass_level_twins_reject_unsupported_ops() {
+    fn unsupported_requests_name_their_cause() {
         let dev = gh200();
-        let req = GemmRequest::lowrank(Matrix::zeros(16, 4), Matrix::zeros(4, 16));
-        assert!(matches!(
-            req.cost_plan(&dev),
-            Err(KamiError::Unsupported { .. })
-        ));
-        let scaled = GemmRequest::gemm(Matrix::zeros(16, 16), Matrix::zeros(16, 16)).scaled(
-            2.0,
-            1.0,
-            Matrix::zeros(16, 16),
-        );
-        assert!(matches!(
-            scaled.cost_plan_auto(&dev),
-            Err(KamiError::Unsupported { .. })
-        ));
-    }
-
-    #[test]
-    fn run_without_device_is_typed_error() {
-        let r = GemmRequest::gemm(Matrix::zeros(16, 16), Matrix::zeros(16, 16));
-        assert!(matches!(r.run(), Err(KamiError::MissingDevice)));
+        let (a, b) = (Matrix::zeros(16, 16), Matrix::zeros(16, 16));
+        let (u, v) = (Matrix::zeros(16, 4), Matrix::zeros(4, 16));
+        let pairs = vec![(a.clone(), b.clone())];
+        let ops = [
+            GemmRequest::gemm_padded(a.clone(), b.clone()),
+            GemmRequest::gemm_25d(a.clone(), b.clone(), 2, 2),
+            GemmRequest::batched(pairs.clone()),
+            GemmRequest::batched_varied(pairs),
+            GemmRequest::lowrank(u, v),
+        ];
+        let scaled = |r: GemmRequest| r.scaled(2.0, 1.0, Matrix::zeros(16, 16));
+        let fused = |r: GemmRequest| r.with_epilogue(Epilogue::Relu);
+        let mut cases = Vec::new();
+        for op in ops {
+            cases.push((scaled(op.clone()), "scaling", "epilogue"));
+            cases.push((fused(op), "epilogue", "scaling"));
+        }
+        for op in [
+            GemmRequest::gemm(a.clone(), b.clone()),
+            GemmRequest::gemm_auto(a, b),
+        ] {
+            cases.push((fused(scaled(op)), "plain product", "not defined"));
+        }
+        for (req, names, not) in cases {
+            let label = req.op.label();
+            match req.execute(&dev) {
+                Err(KamiError::Unsupported { detail }) => assert!(
+                    detail.contains(names) && !detail.contains(not),
+                    "{label}: {detail:?} should name {names:?}, not {not:?}"
+                ),
+                other => panic!("{label}: expected Unsupported, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::config::KamiConfig;
 use crate::epilogue::Epilogue;
 use crate::error::KamiError;
-use crate::gemm::{c_precision, exec_gemm_padded, product_dims, GemmResult};
+use crate::gemm::{c_precision, gemm_padded, product_dims, GemmResult};
 pub use crate::model::skinny::{
     chunk_count, is_tall_skinny, SKINNY_CHUNK_K, SKINNY_DIM_MAX, SKINNY_K_MIN,
 };
@@ -91,7 +91,7 @@ pub fn gemm_skinny(
         let ck = SKINNY_CHUNK_K.min(k - k0);
         let a_i = a.submatrix(0, k0, m, ck);
         let b_i = b.submatrix(k0, 0, ck, n);
-        let res = exec_gemm_padded(device, cfg, &a_i, &b_i)?;
+        let res = gemm_padded(device, cfg, &a_i, &b_i)?;
         cycles += res.report.cycles;
         totals.accumulate(&res.report.totals);
         phase_costs.extend_from_slice(&res.report.phase_costs);

@@ -12,9 +12,8 @@
 
 use crate::config::{Algo, KamiConfig};
 use crate::error::KamiError;
-use crate::gemm::{exec_direct, CStore, GemmResult};
 use crate::plan::gemm_cost;
-use kami_gpu_sim::{DeviceSpec, Matrix, Precision};
+use kami_gpu_sim::{DeviceSpec, Precision};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -200,20 +199,6 @@ impl SharedTuner {
             }
         }
     }
-
-    /// Run a GEMM through the cached winner for its shape.
-    pub fn gemm(
-        &self,
-        device: &DeviceSpec,
-        precision: Precision,
-        a: &Matrix,
-        b: &Matrix,
-    ) -> Result<GemmResult, KamiError> {
-        let (m, k) = (a.rows(), a.cols());
-        let n = b.cols();
-        let cfg = self.config_for(device, m, n, k, precision)?.cfg;
-        exec_direct(device, &cfg, a, b, CStore::Plain)
-    }
 }
 
 #[cfg(test)]
@@ -221,6 +206,7 @@ mod tests {
     use super::*;
     use crate::gemm::gemm;
     use kami_gpu_sim::device::gh200;
+    use kami_gpu_sim::Matrix;
 
     #[test]
     fn candidate_enumeration_respects_divisibility() {
@@ -260,9 +246,16 @@ mod tests {
         let tuner = SharedTuner::new();
         let a = Matrix::seeded_uniform(32, 32, 5);
         let b = Matrix::seeded_uniform(32, 32, 6);
-        let r1 = tuner.gemm(&dev, Precision::Fp64, &a, &b).unwrap();
+        // A GEMM through the cached winner for its shape.
+        let tuned_gemm = |a: &Matrix, b: &Matrix| {
+            let cfg = tuner
+                .config_for(&dev, a.rows(), b.cols(), a.cols(), Precision::Fp64)?
+                .cfg;
+            gemm(&dev, &cfg, a, b)
+        };
+        let r1 = tuned_gemm(&a, &b).unwrap();
         assert_eq!(tuner.len(), 1);
-        let r2 = tuner.gemm(&dev, Precision::Fp64, &a, &b).unwrap();
+        let r2 = tuned_gemm(&a, &b).unwrap();
         assert_eq!(tuner.len(), 1); // cache hit
         assert_eq!((tuner.hits(), tuner.misses()), (1, 1));
         assert_eq!(r1.c.max_abs_diff(&r2.c), 0.0);
@@ -271,7 +264,7 @@ mod tests {
         // A different shape adds an entry.
         let a2 = Matrix::seeded_uniform(16, 16, 7);
         let b2 = Matrix::seeded_uniform(16, 16, 8);
-        tuner.gemm(&dev, Precision::Fp64, &a2, &b2).unwrap();
+        tuned_gemm(&a2, &b2).unwrap();
         assert_eq!(tuner.len(), 2);
     }
 

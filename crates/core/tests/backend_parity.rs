@@ -13,8 +13,15 @@ use proptest::prelude::*;
 /// Run the same request on both backends; compare bits or errors.
 fn assert_backend_parity(req: GemmRequest) {
     let dev = gh200();
-    let sim = req.clone().backend(BackendKind::Sim).execute_single(&dev);
-    let nat = req.backend(BackendKind::Native).execute_single(&dev);
+    let sim = req
+        .clone()
+        .backend(BackendKind::Sim)
+        .execute(&dev)
+        .and_then(|r| r.into_single());
+    let nat = req
+        .backend(BackendKind::Native)
+        .execute(&dev)
+        .and_then(|r| r.into_single());
     match (sim, nat) {
         (Ok(s), Ok(n)) => {
             assert_eq!(

@@ -86,8 +86,11 @@ impl FeedbackConfig {
 /// Budget + admission + feedback configuration for the plan plane.
 ///
 /// Budgets apply to **each** store a `PlanCache` owns (the tuned-plan
-/// store and the cost-pass store) independently, so total plan-plane
-/// residency is bounded by twice `max_bytes`.
+/// store and the cost-pass store) independently, so those two stores
+/// together hold at most twice `max_bytes`. The budget covers nothing
+/// else: the `SharedTuner` winner map and the feedback ratio map each
+/// keep one entry per distinct shape class outside it, and a Bloom
+/// doorkeeper adds its fixed bit array per store.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Max resident entries per store (`None` = unbounded).

@@ -63,7 +63,9 @@ mod tests {
 
     #[test]
     fn display_and_source_chain() {
-        let e = SchedError::from(KamiError::MissingDevice);
+        let e = SchedError::from(KamiError::Unsupported {
+            detail: "test".into(),
+        });
         assert!(e.to_string().contains("block layer"));
         assert!(std::error::Error::source(&e).is_some());
         let empty = SchedError::EmptyStream { kind: "dense" };

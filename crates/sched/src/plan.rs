@@ -328,20 +328,12 @@ impl PlanCache {
     }
 
     /// The plan for one work-item shape, tuning and profiling on first
-    /// use. Returns the entry and whether it was served from the cache.
+    /// use, with the representative block profiled under `cost` when
+    /// given. Plans built under different overrides are cached under
+    /// distinct keys, so one cache can serve default-cost and
+    /// fault-injected launches side by side. Returns the entry and
+    /// whether it was served from the cache.
     pub fn plan_for(
-        &self,
-        device: &DeviceSpec,
-        item: &WorkItem,
-    ) -> Result<(PlanEntry, bool), KamiError> {
-        self.plan_for_costed(device, item, None)
-    }
-
-    /// Like [`PlanCache::plan_for`], but profile the representative
-    /// block under a cost-model override. Plans built under different
-    /// overrides are cached under distinct keys, so one cache can serve
-    /// default-cost and fault-injected launches side by side.
-    pub fn plan_for_costed(
         &self,
         device: &DeviceSpec,
         item: &WorkItem,
@@ -352,19 +344,9 @@ impl PlanCache {
             .get_or_try_compute(key, || self.build_plan(device, item, cost))
     }
 
-    /// Record the decomposition a launch chose for this shape, so the
-    /// cache maps shape → config **and** decomposition.
+    /// Record the decomposition a launch chose for this shape (under
+    /// `cost`), so the cache maps shape → config **and** decomposition.
     pub fn record_decomposition(
-        &self,
-        device: &DeviceSpec,
-        item: &WorkItem,
-        decomposition: Decomposition,
-    ) {
-        self.record_decomposition_costed(device, item, None, decomposition)
-    }
-
-    /// Cost-override variant of [`PlanCache::record_decomposition`].
-    pub fn record_decomposition_costed(
         &self,
         device: &DeviceSpec,
         item: &WorkItem,
@@ -392,16 +374,15 @@ impl PlanCache {
     /// `auto` the §4.7 fallback ladder is applied (matching
     /// [`kami_core::gemm_auto`]); the cached plan then carries the
     /// escalated `smem_fraction`. Callers pair the result with
-    /// [`kami_core::gemm_execute_plan`] for execute-only runs.
+    /// [`kami_core::gemm_execute_plan_with`] for execute-only runs,
+    /// naming the backend explicitly (as `kami-serve`'s warm path does
+    /// with its `ServerConfig` backend).
     ///
     /// Plans are backend-independent (the cost pass never touches
     /// matrix data), so the cache key ignores `cfg.backend` and the
-    /// cached plan is normalized to the default backend — whichever
-    /// configuration first costed a shape class, a bare
-    /// `gemm_execute_plan` of the cached plan runs the reference
-    /// simulator. Executors wanting a specific backend pass it
-    /// explicitly via [`kami_core::gemm_execute_plan_with`] (as
-    /// `kami-serve`'s warm path does with its `ServerConfig` backend).
+    /// cached plan is normalized to the default backend: a cached plan
+    /// must not depend on which configuration costed its shape class
+    /// first.
     pub fn gemm_plan_for(
         &self,
         device: &DeviceSpec,
@@ -693,11 +674,11 @@ mod tests {
         let dev = gh200();
         let cache = PlanCache::new();
         let item = WorkItem::new(64, 64, 64, Precision::Fp16);
-        let (first, was_hit) = cache.plan_for(&dev, &item).unwrap();
+        let (first, was_hit) = cache.plan_for(&dev, &item, None).unwrap();
         assert!(!was_hit);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         assert!(first.tuned.candidates_tried > 1);
-        let (second, was_hit) = cache.plan_for(&dev, &item).unwrap();
+        let (second, was_hit) = cache.plan_for(&dev, &item, None).unwrap();
         assert!(was_hit);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert_eq!(second.cost.serial_cycles, first.cost.serial_cycles);
@@ -710,7 +691,7 @@ mod tests {
         let dev = gh200();
         let cache = PlanCache::new();
         let item = WorkItem::new(64, 64, 64, Precision::Fp16);
-        let (entry, _) = cache.plan_for(&dev, &item).unwrap();
+        let (entry, _) = cache.plan_for(&dev, &item, None).unwrap();
         let c = &entry.cost;
         assert!(c.serial_cycles > 0.0);
         assert!(c.bottleneck_cycles > 0.0 && c.bottleneck_cycles <= c.serial_cycles);
@@ -728,11 +709,11 @@ mod tests {
         let dev = gh200();
         let cache = PlanCache::new();
         let item = WorkItem::new(32, 32, 32, Precision::Fp64);
-        cache.plan_for(&dev, &item).unwrap();
+        cache.plan_for(&dev, &item, None).unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let (_, hit) = cache.plan_for(&dev, &item).unwrap();
+                    let (_, hit) = cache.plan_for(&dev, &item, None).unwrap();
                     assert!(hit);
                 });
             }
@@ -763,10 +744,10 @@ mod tests {
         let dev = gh200();
         let cache = PlanCache::new();
         let item = WorkItem::new(64, 64, 64, Precision::Fp16);
-        cache.plan_for(&dev, &item).unwrap();
+        cache.plan_for(&dev, &item, None).unwrap();
         // Tuning profiled the winner via the cost cache exactly once.
         assert_eq!(cache.cost_misses(), 1);
-        let (entry, _) = cache.plan_for(&dev, &item).unwrap();
+        let (entry, _) = cache.plan_for(&dev, &item, None).unwrap();
         // An execute-only consumer asking for the tuned shape class hits.
         let plan = cache
             .gemm_plan_for(&dev, &entry.tuned.cfg, 64, 64, 64, false)
@@ -813,7 +794,7 @@ mod tests {
         let dev = gh200();
         let cache = PlanCache::new();
         let item = WorkItem::new(16, 16, 65536, Precision::Fp16);
-        let (entry, _) = cache.plan_for(&dev, &item).unwrap();
+        let (entry, _) = cache.plan_for(&dev, &item, None).unwrap();
         let c = &entry.cost;
         assert_eq!(c.flops, item.flops());
         let chunks = skinny::chunk_count(65536);
@@ -827,7 +808,7 @@ mod tests {
         // A deeper item of the same m x n reuses that one tuning sweep
         // *and* the chunk's cost pass — the k-split cache win.
         let deeper = WorkItem::new(16, 16, 131072, Precision::Fp16);
-        cache.plan_for(&dev, &deeper).unwrap();
+        cache.plan_for(&dev, &deeper, None).unwrap();
         assert_eq!(cache.tuner().misses(), 1);
         assert_eq!(cache.cost_misses(), 1);
     }
@@ -837,9 +818,9 @@ mod tests {
         let dev = gh200();
         let cache = PlanCache::new();
         let item = WorkItem::new(64, 64, 64, Precision::Fp16);
-        cache.plan_for(&dev, &item).unwrap();
-        cache.record_decomposition(&dev, &item, Decomposition::StreamK);
-        let (entry, _) = cache.plan_for(&dev, &item).unwrap();
+        cache.plan_for(&dev, &item, None).unwrap();
+        cache.record_decomposition(&dev, &item, None, Decomposition::StreamK);
+        let (entry, _) = cache.plan_for(&dev, &item, None).unwrap();
         assert_eq!(entry.decomposition, Decomposition::StreamK);
     }
 }

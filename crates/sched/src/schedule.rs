@@ -257,7 +257,7 @@ impl<'a> Scheduler<'a> {
         let item = work.items[0];
         let count = work.len();
         let sms = self.device.num_sms as usize;
-        let (entry, hit) = plans.plan_for_costed(self.device, &item, self.cost.as_ref())?;
+        let (entry, hit) = plans.plan_for(self.device, &item, self.cost.as_ref())?;
         let cost = &entry.cost;
         let steady = cost.steady_cycles();
         let g = cost.k_stages;
@@ -343,7 +343,7 @@ impl<'a> Scheduler<'a> {
             }
             _ => (Decomposition::DataParallel, dp, dp_makespan),
         };
-        plans.record_decomposition_costed(self.device, &item, self.cost.as_ref(), chosen);
+        plans.record_decomposition(self.device, &item, self.cost.as_ref(), chosen);
 
         let report = build_report(
             self.device,
@@ -371,7 +371,7 @@ impl<'a> Scheduler<'a> {
         let mut tuned = 0usize;
         let mut entries: Vec<PlanEntry> = Vec::with_capacity(work.len());
         for item in &work.items {
-            let (entry, hit) = plans.plan_for_costed(self.device, item, self.cost.as_ref())?;
+            let (entry, hit) = plans.plan_for(self.device, item, self.cost.as_ref())?;
             if hit {
                 reused += 1;
             } else {

@@ -195,24 +195,16 @@ pub struct SparseCost {
 }
 
 impl SparseCost {
-    /// Build the cost hook for `work`'s unit shape; returns the hook
-    /// and whether the plan came from the cache.
+    /// Build the cost hook for `work`'s unit shape under `cost` (the
+    /// cost-model override, if any); returns the hook and whether the
+    /// plan came from the cache.
     pub fn from_plans(
-        device: &DeviceSpec,
-        plans: &PlanCache,
-        work: &SparseWork,
-    ) -> Result<(Self, bool), KamiError> {
-        Self::from_plans_costed(device, plans, work, None)
-    }
-
-    /// Cost-override variant of [`SparseCost::from_plans`].
-    pub fn from_plans_costed(
         device: &DeviceSpec,
         plans: &PlanCache,
         work: &SparseWork,
         cost: Option<&CostConfig>,
     ) -> Result<(Self, bool), KamiError> {
-        let (entry, hit) = plans.plan_for_costed(device, &work.unit, cost)?;
+        let (entry, hit) = plans.plan_for(device, &work.unit, cost)?;
         let cost = &entry.cost;
         Ok((
             SparseCost {
@@ -297,8 +289,7 @@ impl<'a> Scheduler<'a> {
             });
         }
         let sms = self.device.num_sms as usize;
-        let (cost, hit) =
-            SparseCost::from_plans_costed(self.device, plans, work, self.cost.as_ref())?;
+        let (cost, hit) = SparseCost::from_plans(self.device, plans, work, self.cost.as_ref())?;
 
         let serial = |_| cost.unit_serial_cycles;
         let whole = |idx: usize| {
@@ -383,7 +374,7 @@ impl<'a> Scheduler<'a> {
                 best
             }
         };
-        plans.record_decomposition_costed(self.device, &work.unit, self.cost.as_ref(), chosen);
+        plans.record_decomposition(self.device, &work.unit, self.cost.as_ref(), chosen);
 
         let schedule = build_report(
             self.device,

@@ -68,13 +68,12 @@ pub struct ServeRequest {
 }
 
 impl ServeRequest {
-    /// Serve a dense request. The request's own deadline (set via
-    /// [`GemmRequest::deadline`]) is adopted as the service deadline.
+    /// Serve a dense request (no deadline; see
+    /// [`ServeRequest::with_deadline`]).
     pub fn dense(request: GemmRequest) -> Self {
-        let deadline_cycles = request.deadline_cycles;
         ServeRequest {
             workload: Workload::Dense(request),
-            deadline_cycles,
+            deadline_cycles: None,
             device_affinity: None,
         }
     }

@@ -775,7 +775,7 @@ fn check_skinny(
             Some(epi) => req.with_epilogue(epi.clone()),
             None => req,
         };
-        req.execute_single(&device)
+        req.execute(&device).and_then(|r| r.into_single())
     };
     let entry = if wide { "gemm_t(wide)" } else { "GemmAuto" };
     match routed {

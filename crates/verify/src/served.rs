@@ -114,7 +114,7 @@ impl ServedCase {
         }
 
         // The oracle: the very call a non-served user would make.
-        let direct = match base.execute_single(&device) {
+        let direct = match base.execute(&device).and_then(|r| r.into_single()) {
             Ok(res) => res,
             Err(KamiError::Sim(_)) | Err(KamiError::Unsupported { .. }) => return Ok(None),
             Err(e) => {

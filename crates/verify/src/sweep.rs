@@ -222,11 +222,11 @@ mod tests {
             max_failures: 1,
         };
         let harness = Harness::default();
-        // Draw the same case list twice; identical verdict counts.
+        // Draw the same case list twice; identical summaries: every
+        // count, skip reason, and failure's case, mismatch and
+        // reproducer.
         let a = sweep(&cfg, &harness);
         let b = sweep(&cfg, &harness);
-        assert_eq!(a.cases_run, b.cases_run);
-        assert_eq!(a.skipped, b.skipped);
-        assert_eq!(a.failures.len(), b.failures.len());
+        assert_eq!(a.summary(), b.summary());
     }
 }

@@ -49,6 +49,11 @@ pub use kami_verify as verify;
 pub mod error;
 pub use error::{Error, Result};
 
+/// The README's Rust snippets, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use crate::error::Error;

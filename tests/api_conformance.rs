@@ -50,7 +50,9 @@ fn auto_and_padded_wrappers_equal_request_builder() {
     let (a, b) = pair(64, 64, 64, 33);
     let direct = gemm_auto(&dev, &cfg, &a, &b).unwrap();
     let built = GemmRequest::from_config(Op::GemmAuto { a, b }, &cfg)
-        .execute_single(&dev)
+        .execute(&dev)
+        .unwrap()
+        .into_single()
         .unwrap();
     assert_eq!(direct.c.as_slice(), built.c.as_slice());
 
@@ -58,7 +60,9 @@ fn auto_and_padded_wrappers_equal_request_builder() {
     let (a, b) = pair(50, 46, 70, 35);
     let direct = gemm_padded(&dev, &cfg, &a, &b).unwrap();
     let built = GemmRequest::from_config(Op::GemmPadded { a, b }, &cfg)
-        .execute_single(&dev)
+        .execute(&dev)
+        .unwrap()
+        .into_single()
         .unwrap();
     assert_eq!(direct.c.as_slice(), built.c.as_slice());
 }
@@ -73,7 +77,9 @@ fn scaled_wrapper_equals_builder_epilogue() {
     let direct = gemm_scaled(&dev, &cfg, 2.0, &a, &b, -0.5, &c0).unwrap();
     let built = GemmRequest::from_config(Op::Gemm { a, b }, &cfg)
         .scaled(2.0, -0.5, c0)
-        .execute_single(&dev)
+        .execute(&dev)
+        .unwrap()
+        .into_single()
         .unwrap();
     assert_eq!(direct.c.as_slice(), built.c.as_slice());
 }
@@ -113,7 +119,9 @@ fn lowrank_and_25d_wrappers_equal_request_builder() {
     let cfg = KamiConfig::new(Algo::OneD, Precision::Fp16).with_warps(4);
     let direct = lowrank_gemm(&dev, &cfg, &u, &v).unwrap();
     let built = GemmRequest::from_config(Op::Lowrank { u, v }, &cfg)
-        .execute_single(&dev)
+        .execute(&dev)
+        .unwrap()
+        .into_single()
         .unwrap();
     assert_eq!(direct.c.as_slice(), built.c.as_slice());
 
@@ -121,7 +129,9 @@ fn lowrank_and_25d_wrappers_equal_request_builder() {
     let direct = gemm_25d(&dev, &Kami25dConfig::new(2, 2, Precision::Fp16), &a, &b).unwrap();
     let built = GemmRequest::gemm_25d(a, b, 2, 2)
         .precision(Precision::Fp16)
-        .execute_single(&dev)
+        .execute(&dev)
+        .unwrap()
+        .into_single()
         .unwrap();
     assert_eq!(direct.c.as_slice(), built.c.as_slice());
 }

@@ -24,7 +24,7 @@ fn device_tflops_agrees_with_occupancy_steady_state() {
         .with_decomposition(Decomposition::DataParallel)
         .run(&work, &plans)
         .unwrap();
-    let (entry, _) = plans.plan_for(&dev, &item).unwrap();
+    let (entry, _) = plans.plan_for(&dev, &item, None).unwrap();
     let steady = entry.cost.occupancy.steady_tflops;
 
     let ratio = report.achieved_tflops / steady;
@@ -94,7 +94,7 @@ fn plan_cache_serves_repeated_shape_without_retuning() {
     assert_eq!(plans.tuner().misses(), 1);
     assert_eq!(plans.len(), 1);
     let (entry, hit) = plans
-        .plan_for(&dev, &WorkItem::new(64, 64, 64, Precision::Fp16))
+        .plan_for(&dev, &WorkItem::new(64, 64, 64, Precision::Fp16), None)
         .unwrap();
     assert!(hit);
     assert!(entry.tuned.candidates_tried > 1);
