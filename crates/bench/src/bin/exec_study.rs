@@ -15,19 +15,19 @@
 //! ```
 //!
 //! Emits `target/BENCH_exec.json` (override with `--out`) and exits
-//! nonzero if warm throughput falls under 2x cold — the CI acceptance
-//! gate for the cached cost pass.
+//! nonzero unless the warm path is execute-only — the CI acceptance
+//! gate for the cached cost pass: every timed warm request is a
+//! cost-cache hit, and no tuner, plan or cost miss happens during the
+//! timed trace.
 //!
-//! What the 2x bar protects: a warm request skips the tuning sweep
-//! (one cost pass per candidate configuration) and its own cost pass,
-//! and runs the execute pass alone. The ratio is therefore roughly
-//! `1 + (tune + cost) / execute`; if the tuner or cost cache stopped
-//! hitting, a warm request would pay the same passes as a cold one and
-//! the ratio would fall to ~1x. The `--quick` trace measures 2.7–2.9x
-//! on a 2-vCPU x86 host (ten runs; one run at 2.1x). The bar does not
-//! hold by construction: a cheaper tuning sweep also shrinks the ratio,
-//! and `warm_cost_cache_hits` (every warm request a cost-cache hit) is
-//! the direct check that the warm path is execute-only.
+//! The gate checks those properties directly rather than a speed-up
+//! bar. The warm/cold ratio is roughly `1 + (tune + cost) / execute`,
+//! so it falls to ~1x if the caches stop hitting — but a cheaper tuning
+//! sweep or cost pass shrinks it too, without any regression. It
+//! measured 2.7–2.9x on the `--quick` trace when the simulator kept
+//! shared memory in a per-byte map, and 1.8–2.2x once a dense slab made
+//! the sweep ~10x cheaper (2-vCPU x86 host). The study still prints the
+//! speed-up and records it in the JSON.
 
 use kami_bench::Study;
 use kami_gpu_sim::{device, Matrix, Precision};
@@ -68,8 +68,9 @@ fn drain(server: &Server, requests: Vec<ServeRequest>) {
     }
 }
 
-/// The CI acceptance bar for the cached cost pass.
-const GATE: &str = "warm >= 2x cold";
+/// The CI acceptance gates for the cached cost pass.
+const GATE_HITS: &str = "every warm request is a cost-cache hit";
+const GATE_MISSES: &str = "no tuner, plan or cost miss on the warm trace";
 
 #[derive(Serialize)]
 struct Record {
@@ -82,7 +83,7 @@ struct Record {
     warm_requests_per_sec: f64,
     speedup: f64,
     warm_cost_cache_hits: usize,
-    gate: &'static str,
+    warm_misses: u64,
 }
 
 fn main() -> ExitCode {
@@ -106,15 +107,21 @@ fn main() -> ExitCode {
     // the shape-class cost cache, so the timed trace is execute-only.
     let server = Server::new(&dev);
     drain(&server, trace(SHAPES.len(), 500_000));
-    let warm_base_hits = server.plans().cost_hits();
+    let misses = || {
+        let plans = server.plans();
+        let stats = plans.stats();
+        plans.tuner().misses() as u64 + stats.plans.misses + stats.costs.misses
+    };
+    let (base_hits, base_misses) = (server.plans().cost_hits(), misses());
     let t0 = Instant::now();
     drain(&server, trace(total, 1_000_000));
     let warm_secs = t0.elapsed().as_secs_f64();
+    let cost_hits = server.plans().cost_hits() - base_hits;
+    let warm_misses = misses() - base_misses;
 
     let cold_rps = total as f64 / cold_secs;
     let warm_rps = total as f64 / warm_secs;
     let speedup = warm_rps / cold_rps;
-    let cost_hits = server.plans().cost_hits() - warm_base_hits;
 
     println!("{:<22} {:>12} {:>14}", "mode", "seconds", "requests/sec");
     println!(
@@ -127,12 +134,12 @@ fn main() -> ExitCode {
     );
     println!(
         "\ncost-cache hits on the warm trace: {cost_hits}/{total} \
-         (misses total: {})",
-        server.plans().cost_misses()
+         (tuner, plan and cost misses on it: {warm_misses})"
     );
     println!("throughput speedup (warm / cold): {speedup:.2}x");
 
-    study.gate(GATE, speedup >= 2.0);
+    study.gate(GATE_HITS, cost_hits == total);
+    study.gate(GATE_MISSES, warm_misses == 0);
     study.finish(&Record {
         device: dev.name.clone(),
         requests: total,
@@ -146,6 +153,6 @@ fn main() -> ExitCode {
         warm_requests_per_sec: warm_rps,
         speedup,
         warm_cost_cache_hits: cost_hits,
-        gate: GATE,
+        warm_misses,
     })
 }

@@ -169,17 +169,23 @@ impl<'a> Engine<'a> {
                 require_init(warp_frags, src, w, prog)?;
                 let (rows, cols) = (warp_frags[src].decl.rows, warp_frags[src].decl.cols);
                 let bytes = rows * cols * gmem.precision(buf).size_bytes();
-                let data = warp_frags[src].data.clone();
-                gmem.write_window(buf, row0, col0, rows, cols, &data, accumulate);
+                gmem.write_window(
+                    buf,
+                    row0,
+                    col0,
+                    rows,
+                    cols,
+                    &warp_frags[src].data,
+                    accumulate,
+                );
                 walk.charge_global_store(bytes, accumulate);
             }
             Op::SharedStore { src, addr } => {
                 require_init(warp_frags, src, w, prog)?;
                 let elem = warp_frags[src].decl.precision.size_bytes();
                 let n = warp_frags[src].decl.elems();
-                let data = warp_frags[src].data.clone();
                 walk.smem
-                    .store(addr, elem, &data)
+                    .store(addr, elem, &warp_frags[src].data)
                     .map_err(|detail| SimError::SharedMemoryOverflow { detail })?;
                 walk.charge_smem_write(w, addr, n * elem);
             }

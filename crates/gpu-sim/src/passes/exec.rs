@@ -282,6 +282,41 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_shared_access_errors_identically_through_every_backend() {
+        let cap = gh200().smem_capacity;
+        // A 1×4 FP32 fragment (16 B) at `addr`, stored or loaded.
+        let access = |addr: usize, load: bool| {
+            BlockKernel::spmd(1, move |_, w| {
+                let f = w.frag("x", 1, 4, Precision::Fp32);
+                w.zero_acc(f);
+                if load {
+                    w.shared_load(f, addr);
+                } else {
+                    w.shared_store(f, addr);
+                }
+            })
+        };
+        // An end that overflows `usize` is out of range.
+        let legacy = check_every_backend(&access(usize::MAX - 3, false), |_| {});
+        assert!(
+            matches!(legacy, Err(SimError::SharedMemoryOverflow { .. })),
+            "{legacy:?}"
+        );
+        let legacy = check_every_backend(&access(usize::MAX - 3, true), |_| {});
+        assert!(
+            matches!(legacy, Err(SimError::SharedMemoryFault { warp: 0, .. })),
+            "{legacy:?}"
+        );
+        // One byte past the capacity overflows; the last 16 B store.
+        let legacy = check_every_backend(&access(cap - 15, false), |_| {});
+        assert!(
+            matches!(legacy, Err(SimError::SharedMemoryOverflow { .. })),
+            "{legacy:?}"
+        );
+        check_every_backend(&access(cap - 16, false), |_| {}).unwrap();
+    }
+
+    #[test]
     fn overflowing_k_slice_is_bad_operand_through_every_backend() {
         let build = |g: &mut GlobalMemory| {
             g.upload("A", &Matrix::seeded_uniform(2, 4, 1), Precision::Fp16);
