@@ -109,7 +109,7 @@ fn main() -> ExitCode {
         ("serial (coalesce off)", serial_cycles, &serial_metrics),
         ("coalesced", coalesced_cycles, &coalesced_metrics),
     ] {
-        let groups: usize = m.per_tick.iter().map(|t| t.groups).sum();
+        let groups = m.tick_groups;
         println!(
             "{label:<26} {cycles:>16.0} {groups:>10} {:>14.0}",
             m.mean_queue_cycles()

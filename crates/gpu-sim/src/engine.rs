@@ -153,10 +153,11 @@ impl<'a> Engine<'a> {
                 col0,
             } => {
                 let decl = frag_decl(prog, dst)?;
-                let (rows, cols) = (decl.rows, decl.cols);
+                let (rows, cols, prec) = (decl.rows, decl.cols, decl.precision);
                 let bytes = rows * cols * gmem.precision(buf).size_bytes();
-                let values = gmem.read_window(buf, row0, col0, rows, cols);
-                warp_frags[dst].store(&values);
+                let frag = &mut warp_frags[dst];
+                gmem.read_window_into(buf, row0, col0, rows, cols, prec, &mut frag.data);
+                frag.initialized = true;
                 walk.charge_global_load(bytes);
             }
             Op::GlobalStore {
@@ -182,23 +183,21 @@ impl<'a> Engine<'a> {
             }
             Op::SharedStore { src, addr } => {
                 require_init(warp_frags, src, w, prog)?;
-                let elem = warp_frags[src].decl.precision.size_bytes();
-                let n = warp_frags[src].decl.elems();
+                let frag = &warp_frags[src];
+                let prec = frag.decl.precision;
                 walk.smem
-                    .store(addr, elem, &warp_frags[src].data)
+                    .store(addr, prec, &frag.data)
                     .map_err(|detail| SimError::SharedMemoryOverflow { detail })?;
-                walk.charge_smem_write(w, addr, n * elem);
+                walk.charge_smem_write(w, addr, frag.decl.elems() * prec.size_bytes());
             }
             Op::SharedLoad { dst, addr } => {
-                let decl = frag_decl(prog, dst)?;
-                let elem = decl.precision.size_bytes();
-                let n = decl.elems();
-                let values = walk
-                    .smem
-                    .load(addr, elem, n)
+                let prec = frag_decl(prog, dst)?.precision;
+                let frag = &mut warp_frags[dst];
+                walk.smem
+                    .load(addr, prec, &mut frag.data)
                     .map_err(|detail| SimError::SharedMemoryFault { warp: w, detail })?;
-                warp_frags[dst].store(&values);
-                walk.charge_smem_read(w, addr, n * elem);
+                frag.initialized = true;
+                walk.charge_smem_read(w, addr, frag.data.len() * prec.size_bytes());
             }
             Op::RegCopy { dst, src } => {
                 require_init(warp_frags, src, w, prog)?;
@@ -212,8 +211,10 @@ impl<'a> Engine<'a> {
                         ),
                     });
                 }
-                let data = warp_frags[src].data.clone();
-                warp_frags[dst].store(&data);
+                // A copy of a fragment onto itself changes nothing.
+                if let (d, Some(s)) = frag_pair(warp_frags, dst, src) {
+                    d.copy_from(s);
+                }
                 walk.tally.reg_copies += 1;
             }
             Op::ZeroAcc { frag } => {
@@ -252,11 +253,7 @@ impl<'a> Engine<'a> {
                         ),
                     });
                 }
-                let prec = warp_frags[dst].decl.precision;
-                let src_data = warp_frags[src].data.clone();
-                for (x, s) in warp_frags[dst].data.iter_mut().zip(src_data) {
-                    *x = prec.round(*x + s);
-                }
+                add_tiled(warp_frags, dst, src);
                 walk.tally.reg_copies += 1;
             }
             Op::Unary { frag, func } => {
@@ -303,14 +300,7 @@ impl<'a> Engine<'a> {
                         ),
                     });
                 }
-                let prec = warp_frags[dst].decl.precision;
-                let cols = warp_frags[dst].decl.cols;
-                let row = warp_frags[src].data.clone();
-                for chunk in warp_frags[dst].data.chunks_mut(cols) {
-                    for (x, b) in chunk.iter_mut().zip(&row) {
-                        *x = prec.round(*x + b);
-                    }
-                }
+                add_tiled(warp_frags, dst, src);
                 walk.tally.reg_copies += 1;
             }
             Op::MetaStore { addr, bytes } => walk.meta(w, addr, bytes, false)?,
@@ -373,10 +363,13 @@ impl<'a> Engine<'a> {
                 shape.padded_flops(m, n, k)
             }
         };
-        // The accumulator fragment holds values at its own precision.
+        // Both bodies round every step at the accumulator precision, so
+        // D needs narrowing only when it is stored at another precision.
         let dp = dd.precision;
-        for x in warp_frags[d].data.iter_mut() {
-            *x = dp.round(*x);
+        if dp != ad.precision.accumulator() {
+            for x in warp_frags[d].data.iter_mut() {
+                *x = dp.round(*x);
+            }
         }
         walk.add_mma_flops(ad.precision, flops);
         Ok(())
@@ -511,6 +504,50 @@ pub(crate) fn require_init(
         });
     }
     Ok(())
+}
+
+/// Fragment `dst` to write beside fragment `src` to read, borrowed at
+/// once with no copy of either; `None` for the source when both name
+/// the same fragment, whose values the caller then reads through the
+/// destination.
+fn frag_pair(
+    frags: &mut [FragValue],
+    dst: usize,
+    src: usize,
+) -> (&mut FragValue, Option<&FragValue>) {
+    if dst < src {
+        let (lo, hi) = frags.split_at_mut(src);
+        (&mut lo[dst], Some(&hi[0]))
+    } else if src < dst {
+        let (lo, hi) = frags.split_at_mut(dst);
+        (&mut hi[0], Some(&lo[src]))
+    } else {
+        (&mut frags[dst], None)
+    }
+}
+
+/// `dst[i] = round(dst[i] + src[i mod len(src)])` at `dst`'s precision:
+/// `AddAssign` (same shape) and `AddRowBroadcast` (one row added to
+/// every row), reading `src` in place. With `dst == src` each element
+/// is added to itself, the bits a copy of `src` would give, since every
+/// element reads only its own source element.
+fn add_tiled(frags: &mut [FragValue], dst: usize, src: usize) {
+    let (d, s) = frag_pair(frags, dst, src);
+    let prec = d.decl.precision;
+    match s {
+        Some(s) => {
+            for chunk in d.data.chunks_mut(s.data.len().max(1)) {
+                for (x, &y) in chunk.iter_mut().zip(&s.data) {
+                    *x = prec.round(*x + y);
+                }
+            }
+        }
+        None => {
+            for x in d.data.iter_mut() {
+                *x = prec.round(*x + *x);
+            }
+        }
+    }
 }
 
 /// Every warp's declared fragments, uninitialized: a kernel's fresh

@@ -5,6 +5,21 @@
 //! abstraction of CUDA/HIP/SYCL (Table 4: `Register` / `fragment` /
 //! `joint_matrix`). The simulator models a fragment at warp granularity:
 //! one row-major value buffer plus the register cost it induces per thread.
+//!
+//! **Fragments are quantized at rest.** Every value a fragment holds is
+//! already quantized at its declared precision: registers hold the
+//! stored type, and every op that writes a fragment leaves its result
+//! there. Global buffers and shared memory keep the same invariant for
+//! their own precisions (an upload quantizes, a global store rounds, a
+//! shared store records the precision its values were stored at). So
+//! the execute pass rounds only where a value crosses into a different
+//! precision — a load or copy between two precisions, an arithmetic
+//! result, an MMA whose D is stored at another precision than its
+//! accumulator — and moves a value that stays at its precision as a
+//! plain copy. That is bit-identical to rounding on every move because
+//! every [`Precision::round`] is idempotent on its own outputs, signed
+//! zeros and NaN payloads included (pinned by the native backend's
+//! tests).
 
 use crate::precision::Precision;
 use serde::{Deserialize, Serialize};
@@ -52,7 +67,8 @@ impl FragDecl {
     }
 }
 
-/// Runtime storage of a fragment's values (row-major, quantized on write).
+/// Runtime storage of a fragment's values (row-major, quantized at
+/// `decl.precision` — see the module docs).
 #[derive(Debug, Clone)]
 pub struct FragValue {
     pub decl: FragDecl,
@@ -72,15 +88,12 @@ impl FragValue {
         }
     }
 
-    /// Overwrite contents with `src` (already shaped row-major), applying
-    /// the fragment's precision quantization — registers hold the stored
-    /// type, so every write narrows.
-    pub fn store(&mut self, src: &[f64]) {
-        debug_assert_eq!(src.len(), self.data.len());
-        let p = self.decl.precision;
-        for (dst, &s) in self.data.iter_mut().zip(src) {
-            *dst = p.round(s);
-        }
+    /// Overwrite contents with `src`'s values (same element count) in
+    /// place: a plain copy when the precisions match, one rounding per
+    /// element into this fragment's precision otherwise.
+    pub(crate) fn copy_from(&mut self, src: &FragValue) {
+        let (to, from) = (self.decl.precision, src.decl.precision);
+        to.requantize(from, &src.data, &mut self.data);
         self.initialized = true;
     }
 
@@ -121,12 +134,18 @@ mod tests {
     }
 
     #[test]
-    fn store_quantizes() {
-        let mut f = FragValue::new(FragDecl::new("x", 1, 2, Precision::Fp16));
-        assert!(!f.initialized);
-        f.store(&[1.0, 1.0 + (2.0f64).powi(-13)]);
-        assert!(f.initialized);
-        assert_eq!(f.data, vec![1.0, 1.0]);
+    fn copy_from_rounds_only_across_precisions() {
+        let mut wide = FragValue::new(FragDecl::new("w", 1, 2, Precision::Fp32));
+        wide.data = vec![1.0, 1.0 + (2.0f64).powi(-13)];
+        wide.initialized = true;
+        let mut narrow = FragValue::new(FragDecl::new("x", 1, 2, Precision::Fp16));
+        assert!(!narrow.initialized);
+        narrow.copy_from(&wide);
+        assert!(narrow.initialized);
+        assert_eq!(narrow.data, vec![1.0, 1.0]);
+        let mut same = FragValue::new(FragDecl::new("y", 1, 2, Precision::Fp32));
+        same.copy_from(&wide);
+        assert_eq!(same.data, wide.data);
     }
 
     #[test]

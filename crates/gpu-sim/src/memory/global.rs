@@ -76,7 +76,7 @@ impl GmemLayout {
     }
 
     /// Bounds-check a read window exactly as
-    /// [`GlobalMemory::read_window`] would.
+    /// [`GlobalMemory::read_window_into`] would.
     pub(crate) fn check_read(
         &self,
         id: BufferId,
@@ -179,15 +179,22 @@ impl GlobalMemory {
         (b.data.rows(), b.data.cols())
     }
 
-    /// Read a window; counts traffic. Returns row-major values.
-    pub fn read_window(
+    /// Read the `rows × cols` window at `(row0, col0)` into `out`
+    /// (row-major) at precision `to`; counts traffic. Every buffer value
+    /// is quantized at the buffer's precision (`upload` quantizes,
+    /// `write_window` rounds), so a read at that precision is a plain
+    /// copy and a read into another precision rounds each element once.
+    #[allow(clippy::too_many_arguments)]
+    pub fn read_window_into(
         &mut self,
         id: BufferId,
         row0: usize,
         col0: usize,
         rows: usize,
         cols: usize,
-    ) -> Vec<f64> {
+        to: Precision,
+        out: &mut [f64],
+    ) {
         let b = &self.buffers[id.0];
         assert!(
             row0 + rows <= b.data.rows() && col0 + cols <= b.data.cols(),
@@ -196,14 +203,13 @@ impl GlobalMemory {
             b.data.rows(),
             b.data.cols()
         );
-        let mut out = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                out.push(b.data.get(row0 + r, col0 + c));
-            }
+        assert_eq!(out.len(), rows * cols);
+        let (data, stride) = (b.data.as_slice(), b.data.cols());
+        for (r, dst) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+            let start = (row0 + r) * stride + col0;
+            to.requantize(b.precision, &data[start..start + cols], dst);
         }
         self.bytes_read += (rows * cols * b.precision.size_bytes()) as u64;
-        out
     }
 
     #[cfg(test)]
@@ -310,7 +316,7 @@ mod tests {
         let mut gm = GlobalMemory::new();
         let m = Matrix::zeros(8, 8);
         let id = gm.upload("A", &m, Precision::Fp16);
-        gm.read_window(id, 0, 0, 4, 4);
+        gm.read_window_into(id, 0, 0, 4, 4, Precision::Fp16, &mut [0.0; 16]);
         assert_eq!(gm.bytes_read(), 4 * 4 * 2);
         gm.write_window(id, 0, 0, 2, 2, &[1.0; 4], false);
         assert_eq!(gm.bytes_written(), 2 * 2 * 2);
@@ -334,6 +340,6 @@ mod tests {
     fn read_out_of_bounds_panics() {
         let mut gm = GlobalMemory::new();
         let id = gm.upload("A", &Matrix::zeros(2, 2), Precision::Fp64);
-        gm.read_window(id, 1, 1, 2, 2);
+        gm.read_window_into(id, 1, 1, 2, 2, Precision::Fp64, &mut [0.0; 4]);
     }
 }

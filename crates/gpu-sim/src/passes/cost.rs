@@ -108,22 +108,20 @@ impl<'a> Engine<'a> {
             Op::SharedStore { src, addr } => {
                 require_init(init, src, w, prog)?;
                 let d = &prog.frags[src];
-                let elem = d.precision.size_bytes();
                 let n = d.elems();
                 walk.smem
-                    .store_shape(addr, elem, n)
+                    .store_shape(addr, d.precision, n)
                     .map_err(|detail| SimError::SharedMemoryOverflow { detail })?;
-                walk.charge_smem_write(w, addr, n * elem);
+                walk.charge_smem_write(w, addr, n * d.precision.size_bytes());
             }
             Op::SharedLoad { dst, addr } => {
                 let decl = frag_decl(prog, dst)?;
-                let elem = decl.precision.size_bytes();
                 let n = decl.elems();
                 walk.smem
-                    .load_shape(addr, elem, n)
+                    .load_shape(addr, decl.precision, n)
                     .map_err(|detail| SimError::SharedMemoryFault { warp: w, detail })?;
                 init[dst] = true;
-                walk.charge_smem_read(w, addr, n * elem);
+                walk.charge_smem_read(w, addr, n * decl.precision.size_bytes());
             }
             Op::RegCopy { dst, src } => {
                 require_init(init, src, w, prog)?;

@@ -55,7 +55,7 @@ mod tests {
     use crate::memory::global::{BufferId, GlobalMemory};
     use crate::passes::{BackendKind, RunOptions};
     use crate::precision::Precision;
-    use crate::program::BlockKernel;
+    use crate::program::{BlockKernel, WarpProgram};
 
     fn assert_gmem_identical(what: &str, want: &GlobalMemory, got: &GlobalMemory) {
         assert_eq!(want.bytes_read(), got.bytes_read(), "{what}");
@@ -349,6 +349,216 @@ mod tests {
             );
             // The last in-range slice runs.
             check_every_backend(&sliced(3, of_a), build).unwrap();
+        }
+    }
+
+    /// Run a one-warp kernel through the execute pass on every backend
+    /// against one input row per `(precision, values)` (buffers `0..`)
+    /// and a final FP64 output row of `n` values, whose store keeps
+    /// every bit. Returns the output's bits, which every backend must
+    /// agree on.
+    fn output_bits(
+        inputs: &[(Precision, &[f64])],
+        n: usize,
+        body: impl Fn(&mut WarpProgram, BufferId),
+    ) -> Vec<u64> {
+        let dev = gh200();
+        let eng = Engine::new(&dev);
+        let k = BlockKernel::spmd(1, |_, w| body(w, BufferId(inputs.len())));
+        let runs: Vec<Vec<u64>> = BackendKind::ALL
+            .iter()
+            .map(|&kind| {
+                let mut g = GlobalMemory::new();
+                for (i, &(p, vs)) in inputs.iter().enumerate() {
+                    for &v in vs {
+                        assert_eq!(p.round(v).to_bits(), v.to_bits(), "{v:e} is not {p:?}");
+                    }
+                    g.upload(
+                        format!("in{i}"),
+                        &Matrix::from_vec(1, vs.len(), vs.to_vec()),
+                        p,
+                    );
+                }
+                let out = g.alloc_zeroed("out", 1, n, Precision::Fp64);
+                eng.plan(&k)
+                    .and_then(|plan| eng.execute_with(kind, &plan, &mut g))
+                    .unwrap();
+                g.download(out)
+                    .as_slice()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect();
+        assert!(runs.windows(2).all(|w| w[0] == w[1]), "backends disagree");
+        runs.into_iter().next().unwrap()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `to.round` of every source value, which a move into `to` must give.
+    fn rounded(to: Precision, src: &[f64]) -> Vec<u64> {
+        src.iter().map(|&x| to.round(x).to_bits()).collect()
+    }
+
+    /// Exact FP32 values whose FP16 roundings are a plain narrowing, a
+    /// round-up, a tie that overflows to infinity and a tie to -0.
+    const FP32_SRC: [f64; 4] = [
+        1.0 + 1.0 / 8192.0,
+        1.0 + 1.0 / 2048.0 + 1.0 / 8192.0,
+        65520.0,
+        -1.0 / 33554432.0,
+    ];
+    const FP32_AS_FP16: [f64; 4] = [1.0, 1.0 + 1.0 / 1024.0, f64::INFINITY, -0.0];
+
+    #[test]
+    fn fp32_buffer_loads_into_fp16_fragment_rounded() {
+        let got = output_bits(&[(Precision::Fp32, &FP32_SRC)], 4, |w, out| {
+            let h = w.frag("h", 1, 4, Precision::Fp16);
+            w.global_load(h, BufferId(0), 0, 0);
+            w.global_store(h, out, 0, 0);
+        });
+        assert_eq!(got, bits(&FP32_AS_FP16));
+        assert_eq!(got, rounded(Precision::Fp16, &FP32_SRC));
+    }
+
+    #[test]
+    fn reg_copy_from_fp32_to_fp16_rounds() {
+        let got = output_bits(&[(Precision::Fp32, &FP32_SRC)], 4, |w, out| {
+            let f = w.frag("f", 1, 4, Precision::Fp32);
+            let h = w.frag("h", 1, 4, Precision::Fp16);
+            w.global_load(f, BufferId(0), 0, 0);
+            w.reg_copy(h, f);
+            w.global_store(h, out, 0, 0);
+        });
+        assert_eq!(got, bits(&FP32_AS_FP16));
+        assert_eq!(got, rounded(Precision::Fp16, &FP32_SRC));
+    }
+
+    /// Stage a row through shared memory: stored at `from`, loaded at
+    /// the same-size `to`.
+    fn smem_crossing(from: Precision, to: Precision, src: &[f64]) -> Vec<u64> {
+        output_bits(&[(from, src)], src.len(), |w, out| {
+            let a = w.frag("a", 1, src.len(), from);
+            let b = w.frag("b", 1, src.len(), to);
+            w.global_load(a, BufferId(0), 0, 0);
+            w.shared_store(a, 64);
+            w.barrier();
+            w.shared_load(b, 64);
+            w.global_store(b, out, 0, 0);
+        })
+    }
+
+    #[test]
+    fn smem_stored_as_bf16_loads_as_fp16_rounded() {
+        // Exact BF16 values: FP16-exact, below FP16's smallest
+        // subnormal (rounds up to it), beyond FP16's range, and a
+        // subnormal with a dropped low bit.
+        let src = [
+            1.0 + 1.0 / 128.0,
+            1.5 * 2f64.powi(-25),
+            131072.0,
+            -(1.0 + 1.0 / 128.0) * 2f64.powi(-20),
+        ];
+        let got = smem_crossing(Precision::Bf16, Precision::Fp16, &src);
+        let want = [
+            1.0 + 1.0 / 128.0,
+            2f64.powi(-24),
+            f64::INFINITY,
+            -(2f64.powi(-20)),
+        ];
+        assert_eq!(got, bits(&want));
+        assert_eq!(got, rounded(Precision::Fp16, &src));
+        // At the stored precision the row comes back unchanged.
+        assert_eq!(
+            smem_crossing(Precision::Bf16, Precision::Bf16, &src),
+            bits(&src)
+        );
+    }
+
+    #[test]
+    fn smem_stored_as_fp32_loads_as_tf32_rounded() {
+        let src = [
+            1.0 + 1.0 / 8192.0,
+            1.0 + 1.0 / 2048.0 + 1.0 / 8192.0,
+            2f64.powi(-149),
+            -(2.0 - 2f64.powi(-23)),
+        ];
+        let got = smem_crossing(Precision::Fp32, Precision::Tf32, &src);
+        assert_eq!(got, bits(&[1.0, 1.0 + 1.0 / 1024.0, 0.0, -2.0]));
+        assert_eq!(got, rounded(Precision::Tf32, &src));
+        assert_eq!(
+            smem_crossing(Precision::Fp32, Precision::Fp32, &src),
+            bits(&src)
+        );
+    }
+
+    #[test]
+    fn fp16_mma_narrows_only_a_d_below_the_accumulator() {
+        // (1 + 2^-10)·(1 + 2^-10) = 1 + 2^-9 + 2^-20 and
+        // 3·(1 + 2^-10) = 3 + 1.5·2^-9, both exact at the FP32
+        // accumulator; FP16 drops the 2^-20 and rounds the tie at 3 to
+        // the even 3 + 2^-8.
+        let e = 1.0 + 1.0 / 1024.0;
+        let acc = [
+            1.0 + 2f64.powi(-9) + 2f64.powi(-20),
+            3.0 + 1.5 * 2f64.powi(-9),
+        ];
+        let mma = |d_prec: Precision| {
+            output_bits(
+                &[(Precision::Fp16, &[e]), (Precision::Fp16, &[e, 3.0])],
+                2,
+                |w, out| {
+                    let a = w.frag("a", 1, 1, Precision::Fp16);
+                    let b = w.frag("b", 1, 2, Precision::Fp16);
+                    let d = w.frag("d", 1, 2, d_prec);
+                    w.global_load(a, BufferId(0), 0, 0);
+                    w.global_load(b, BufferId(1), 0, 0);
+                    w.zero_acc(d);
+                    w.mma(d, a, b);
+                    w.global_store(d, out, 0, 0);
+                },
+            )
+        };
+        let got = mma(Precision::Fp16);
+        assert_eq!(got, bits(&[1.0 + 2f64.powi(-9), 3.0 + 2f64.powi(-8)]));
+        assert_eq!(got, rounded(Precision::Fp16, &acc));
+        assert_eq!(mma(Precision::Fp32), bits(&acc));
+    }
+
+    #[test]
+    fn adds_read_their_source_in_place_and_in_alias() {
+        let src = [1.0 + 1.0 / 1024.0, 40000.0, -0.0];
+        let doubled = [2.0 + 1.0 / 512.0, f64::INFINITY, -0.0];
+        for alias in [false, true] {
+            // `x += x` and `x += row(x)` on a 1×3 row, against adding a
+            // separate copy `y` declared after (`dst < src`) or before
+            // (`dst > src`) it.
+            for row in [false, true] {
+                for y_first in [false, true] {
+                    let got = output_bits(&[(Precision::Fp16, &src)], 3, |w, out| {
+                        let decl = |w: &mut WarpProgram, n| w.frag(n, 1, 3, Precision::Fp16);
+                        let (x, y) = if y_first {
+                            let y = decl(w, "y");
+                            (decl(w, "x"), y)
+                        } else {
+                            (decl(w, "x"), decl(w, "y"))
+                        };
+                        w.global_load(x, BufferId(0), 0, 0);
+                        w.global_load(y, BufferId(0), 0, 0);
+                        let s = if alias { x } else { y };
+                        if row {
+                            w.add_row_broadcast(x, s);
+                        } else {
+                            w.add_assign(x, s);
+                        }
+                        w.global_store(x, out, 0, 0);
+                    });
+                    assert_eq!(got, bits(&doubled), "alias {alias}, row {row}");
+                }
+            }
         }
     }
 }

@@ -12,23 +12,24 @@
 //! The reference body pays, per accumulation step, two precision
 //! round-trips on the inputs (for fp16/bf16 that is a
 //! `f64 → half → f64` conversion each) plus per-op slice allocations.
-//! None of that changes the bits: fragment data is invariantly
-//! quantized at its declared precision (every write narrows — see
-//! [`FragValue::store`]), and every [`Precision::round`] is idempotent,
-//! so re-rounding already-quantized inputs is a no-op. The microkernel
-//! exploits exactly that: it reads inputs in place and keeps only the
-//! rounding that matters — one per accumulation step at the accumulator
-//! precision, the same place the reference rounds (the per-element
-//! narrowing to the fragment's storage precision after the MMA is
-//! shared code). FP64 steps are `f64::mul_add`; FP32-accumulated steps
-//! are `(a * b + c) as f32 as f64`, whose product is exact in f64
-//! because the quantized inputs carry at most 24 significand bits (see
-//! `fma_step`), so the single rounding equals `mul_add`'s.
+//! None of that changes the bits: fragment data is quantized at rest at
+//! its declared precision (see [`crate::fragment`]), and every
+//! [`Precision::round`] is idempotent, so re-rounding already-quantized
+//! inputs is a no-op. The microkernel exploits exactly that: it reads
+//! inputs in place and keeps only the rounding that matters — one per
+//! accumulation step at the accumulator precision, the same place the
+//! reference rounds (the narrowing of D to a storage precision other
+//! than the accumulator's is shared code). FP64 steps are
+//! `f64::mul_add`; FP32-accumulated steps are `(a * b + c) as f32 as
+//! f64`, whose product is exact in f64 because the quantized inputs
+//! carry at most 24 significand bits (see `fma_step`), so the single
+//! rounding equals `mul_add`'s.
 //!
-//! The inner loops are written to autovectorize: for each `(i, l)` the
-//! column sweep is a chain-free multiply-add over independent
-//! accumulators, unrolled by four. Unrolling reorders nothing — each
-//! `(i, j)` chain still sees its `l`-steps in increasing order.
+//! The inner loop is written to autovectorize: for each `(i, l)` the
+//! column sweep is a bounds-check-free `zip` of D's row with B's row,
+//! independent multiply-adds the compiler turns into packed SIMD.
+//! Vectorizing reorders nothing — each `(i, j)` chain still sees its
+//! `l`-steps in increasing order.
 
 use crate::engine::k_slice;
 use crate::fragment::FragValue;
@@ -136,9 +137,9 @@ fn fma_step<const ROUND32: bool>(a: f64, b: f64, c: f64) -> f64 {
 /// `d[m×n] += a[:, ac0..ac0+k] · b[br0..br0+k, :]` with the `(i, l, j)`
 /// loop order: each `(i, j)` accumulator still sees its `l`-steps in
 /// increasing order (bit-identical to the simulator's `(i, j, l)`
-/// order), while the inner column sweep is independent multiply-adds the
-/// compiler can vectorize. Explicit 4-way unroll for the common
-/// power-of-two tile widths.
+/// order), while the inner column sweep is independent multiply-adds
+/// over zipped row slices, which the compiler vectorizes with no bounds
+/// checks.
 #[allow(clippy::too_many_arguments)]
 fn mma_rows<const ROUND32: bool>(
     m: usize,
@@ -153,21 +154,12 @@ fn mma_rows<const ROUND32: bool>(
     d: &mut [f64],
 ) {
     for i in 0..m {
-        let a_row = &a[i * a_stride + ac0..i * a_stride + ac0 + k];
-        let d_row = &mut d[i * n..(i + 1) * n];
+        let a_row = &a[i * a_stride + ac0..][..k];
+        let d_row = &mut d[i * n..][..n];
         for (l, &av) in a_row.iter().enumerate() {
-            let b_row = &b[(br0 + l) * b_stride..(br0 + l) * b_stride + n];
-            let mut j = 0;
-            while j + 4 <= n {
-                d_row[j] = fma_step::<ROUND32>(av, b_row[j], d_row[j]);
-                d_row[j + 1] = fma_step::<ROUND32>(av, b_row[j + 1], d_row[j + 1]);
-                d_row[j + 2] = fma_step::<ROUND32>(av, b_row[j + 2], d_row[j + 2]);
-                d_row[j + 3] = fma_step::<ROUND32>(av, b_row[j + 3], d_row[j + 3]);
-                j += 4;
-            }
-            while j < n {
-                d_row[j] = fma_step::<ROUND32>(av, b_row[j], d_row[j]);
-                j += 1;
+            let b_row = &b[(br0 + l) * b_stride..][..n];
+            for (dv, &bv) in d_row.iter_mut().zip(b_row) {
+                *dv = fma_step::<ROUND32>(av, bv, *dv);
             }
         }
     }
@@ -184,28 +176,63 @@ mod tests {
     use crate::passes::BackendKind;
     use crate::program::{BlockKernel, Op};
 
-    /// Every `Precision::round` must be idempotent: the microkernels
-    /// skip input re-rounding on that invariant.
+    /// Every `Precision::round` must be idempotent bit for bit: the
+    /// microkernels skip input re-rounding, and the execute pass skips
+    /// every same-precision rounding, on that invariant. Bits, not `==`,
+    /// so a flipped zero sign or a changed NaN payload shows.
     #[test]
     fn rounding_is_idempotent_on_quantized_values() {
+        // Smallest positive subnormal of each precision.
         let precs = [
-            Precision::Fp64,
-            Precision::Fp32,
-            Precision::Tf32,
-            Precision::Fp16,
-            Precision::Bf16,
-            Precision::Fp8E4M3,
+            (Precision::Fp64, f64::from_bits(1)),
+            (Precision::Fp32, 2f64.powi(-149)),
+            (Precision::Tf32, 2f64.powi(-136)),
+            (Precision::Fp16, 2f64.powi(-24)),
+            (Precision::Bf16, 2f64.powi(-133)),
+            (Precision::Fp8E4M3, 2f64.powi(-9)),
         ];
-        for p in precs {
+        let nans = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7ff4_0000_0000_0000),
+            f64::from_bits(0xfff8_0000_dead_beef),
+            f64::from_bits(0x7fff_ffff_ffff_ffff),
+        ];
+        for (p, tiny) in precs {
+            assert_eq!(p.round(tiny).to_bits(), tiny.to_bits(), "{p:?}: {tiny:e}");
+            let top = p.max_finite();
+            assert_eq!(p.round(top).to_bits(), top.to_bits(), "{p:?}: {top:e}");
+            let mut inputs = vec![
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                tiny,
+                -tiny,
+                tiny / 2.0,
+                -tiny / 2.0,
+                tiny * 1.5,
+                top,
+                -top,
+                top * 1.001,
+                1e300,
+                1e-300,
+            ];
+            inputs.extend(nans);
             let mut x = -1000.0f64;
             while x < 1000.0 {
-                let once = p.round(x);
-                assert_eq!(p.round(once), once, "{p:?} not idempotent at {x}");
+                inputs.push(x);
                 x += 0.337;
             }
-            for &edge in &[0.0, -0.0, p.max_finite(), -p.max_finite(), 1e300, 1e-300] {
-                let once = p.round(edge);
-                assert_eq!(p.round(once), once, "{p:?} not idempotent at {edge}");
+            for x in inputs {
+                let once = p.round(x);
+                assert_eq!(
+                    p.round(once).to_bits(),
+                    once.to_bits(),
+                    "{p:?} not idempotent at {x:e} ({:#x})",
+                    x.to_bits()
+                );
             }
         }
     }

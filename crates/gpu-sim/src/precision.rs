@@ -69,6 +69,22 @@ impl Precision {
         }
     }
 
+    /// Write `src`, whose values are quantized at `from`, into `dst` at
+    /// this precision: a plain copy when the two precisions match
+    /// (rounding a quantized value is the identity, bit for bit), one
+    /// rounding per element otherwise.
+    #[inline]
+    pub(crate) fn requantize(self, from: Precision, src: &[f64], dst: &mut [f64]) {
+        debug_assert_eq!(src.len(), dst.len());
+        if self == from {
+            dst.copy_from_slice(src);
+        } else {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = self.round(s);
+            }
+        }
+    }
+
     /// Largest finite representable magnitude.
     pub fn max_finite(self) -> f64 {
         match self {

@@ -81,7 +81,7 @@ pub use fleet::{
     DeviceClass, FleetConfig, FleetMetrics, FleetServer, FleetSpec, FleetTicket, Replica,
     ReplicaMetrics, RouteCandidate, RouteDecision, RouterStats, RoutingPolicy,
 };
-pub use metrics::{CycleHistogram, Metrics, TickRecord};
+pub use metrics::{CycleHistogram, Metrics, TickRecord, TICK_HISTORY};
 pub use request::{ServeOutput, ServeRequest, Workload};
 pub use server::{Server, ServerConfig, TickSummary};
 pub use ticket::{Completed, CompletionPath, Ticket};

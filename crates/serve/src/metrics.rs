@@ -143,6 +143,11 @@ impl CycleHistogram {
     }
 }
 
+/// How many of the most recent dispatching ticks [`Metrics::per_tick`]
+/// keeps, so a long-lived server's metrics (and every snapshot of them)
+/// stay bounded.
+pub const TICK_HISTORY: usize = 1024;
+
 /// Cumulative service counters. Snapshot via
 /// [`Server::metrics`](crate::Server::metrics).
 #[derive(Debug, Clone, Default)]
@@ -183,20 +188,36 @@ pub struct Metrics {
     /// bytes, evictions, admission rejections, stampedes avoided) plus
     /// the observation-feedback loop.
     pub plan_cache: PlanCacheStats,
+    /// Requests dispatched over every recorded tick (completions +
+    /// retries), and the work-pool groups they coalesced into: the
+    /// exact totals behind [`Self::coalesce_factor`], kept past the
+    /// `per_tick` window.
+    pub tick_requests: u64,
+    pub tick_groups: u64,
+    /// The most recent dispatching ticks, oldest first: at most
+    /// [`TICK_HISTORY`] of them.
     pub per_tick: Vec<TickRecord>,
 }
 
 impl Metrics {
-    /// Mean requests-per-group across dispatching ticks.
+    /// Account one dispatching tick: add it to the cumulative totals
+    /// and append its record, dropping the oldest record once
+    /// `per_tick` holds [`TICK_HISTORY`].
+    pub fn record_tick(&mut self, rec: TickRecord) {
+        self.tick_requests += rec.requests as u64;
+        self.tick_groups += rec.groups as u64;
+        if self.per_tick.len() == TICK_HISTORY {
+            self.per_tick.remove(0);
+        }
+        self.per_tick.push(rec);
+    }
+
+    /// Mean requests-per-group across every recorded tick.
     pub fn coalesce_factor(&self) -> f64 {
-        let (reqs, groups) = self
-            .per_tick
-            .iter()
-            .fold((0usize, 0usize), |(r, g), t| (r + t.requests, g + t.groups));
-        if groups == 0 {
+        if self.tick_groups == 0 {
             0.0
         } else {
-            reqs as f64 / groups as f64
+            self.tick_requests as f64 / self.tick_groups as f64
         }
     }
 
@@ -435,7 +456,7 @@ mod tests {
             completed: 5,
             ..Metrics::default()
         };
-        m.per_tick.push(TickRecord {
+        m.record_tick(TickRecord {
             tick: 1,
             requests: 4,
             groups: 2,
@@ -541,6 +562,34 @@ mod tests {
         let text = m.to_prometheus();
         assert!(text.contains("kami_serve_completion_cycles_p50 128"));
         assert!(text.contains("kami_serve_completion_cycles_p99 128"));
+    }
+
+    #[test]
+    fn tick_history_keeps_the_latest_ticks_and_exact_totals() {
+        let mut m = Metrics::default();
+        let ticks = TICK_HISTORY + 300;
+        for t in 1..=ticks {
+            // Tick t dispatches t requests in one or two groups.
+            m.record_tick(TickRecord {
+                tick: t as u64,
+                requests: t,
+                groups: 1 + t % 2,
+                makespan_cycles: 1.0,
+                utilization: 1.0,
+            });
+        }
+        assert_eq!(m.per_tick.len(), TICK_HISTORY);
+        assert_eq!(m.per_tick[0].tick, (ticks - TICK_HISTORY + 1) as u64);
+        assert_eq!(m.per_tick[TICK_HISTORY - 1].tick, ticks as u64);
+        let requests = ticks * (ticks + 1) / 2;
+        let groups: usize = (1..=ticks).map(|t| 1 + t % 2).sum();
+        assert_eq!(
+            (m.tick_requests, m.tick_groups),
+            (requests as u64, groups as u64)
+        );
+        assert_eq!(m.coalesce_factor(), requests as f64 / groups as f64);
+        // A snapshot clones the bounded window, not every tick.
+        assert_eq!(m.clone().per_tick.len(), TICK_HISTORY);
     }
 
     #[test]

@@ -965,7 +965,7 @@ impl Server {
         }
         let mut st = self.locked();
         let utilization = summary.utilization();
-        st.metrics.per_tick.push(TickRecord {
+        st.metrics.record_tick(TickRecord {
             tick: tick_no,
             requests: summary.dispatched,
             groups: summary.groups,

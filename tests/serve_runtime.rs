@@ -633,3 +633,29 @@ fn observability_surface_is_consistent() {
     let json = trace.to_chrome_json();
     assert!(json.trim_start().starts_with('[') && json.contains("\"ph\": \"X\""));
 }
+
+#[test]
+fn tick_history_stays_bounded_over_a_long_run() {
+    let dev = device::gh200();
+    let server = Server::new(&dev);
+    let (a, b) = (
+        Matrix::seeded_uniform(16, 16, 1),
+        Matrix::seeded_uniform(16, 16, 2),
+    );
+    let ticks = kami::serve::TICK_HISTORY + 8;
+    for _ in 0..ticks {
+        server
+            .submit(ServeRequest::gemm(a.clone(), b.clone(), Precision::Fp16))
+            .unwrap();
+        server.tick();
+    }
+    let m = server.metrics();
+    assert_eq!((m.ticks, m.completed), (ticks as u64, ticks as u64));
+    assert_eq!(m.per_tick.len(), kami::serve::TICK_HISTORY);
+    assert_eq!(m.per_tick.last().unwrap().tick, ticks as u64);
+    assert_eq!(
+        (m.tick_requests, m.tick_groups),
+        (ticks as u64, ticks as u64)
+    );
+    assert_eq!(m.coalesce_factor(), 1.0);
+}
